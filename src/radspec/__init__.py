@@ -8,112 +8,11 @@ curve, so truncation selects isolated samples of a continuum rather than
 a discrete set of allowed couplings.
 """
 
-from .analysis import (
-    ContinuityRow,
-    ContinuityTable,
-    DegenerateFit,
-    FitComparison,
-    FitModel,
-    InvalidAlpha,
-    InvalidMass,
-    MatchReport,
-    MatchResult,
-    PhysicalParams,
-    PUBLISHED_CUBICS,
-    branch_fit_points,
-    compare_fit_to_published,
-    continuity_demonstration,
-    fit_cubic,
-    map_E_to_W,
-    map_nu_to_a,
-    map_physical_to_nu,
-    map_W_to_E,
-    match_truncation_to_curves,
-    truncation_point_set,
-)
-from .frobenius import (
-    IndexOutOfRange,
-    RecurrencePair,
-    ReducedProblem,
-    RootIsolation,
-    RootRefinementFailure,
-    TruncationPolynomial,
-    TruncationSolution,
-    cnp1_polynomial,
-    evaluate_F,
-    ode_residual,
-    polynomial_solution,
-    recurrence_coeffs,
-    root_isolation,
-    series_coeffs,
-    truncation_energy,
-    truncation_roots,
-)
-from .spectrum import (
-    DomainTooSmall,
-    EigenState,
-    HftCheck,
-    MonotonicityViolation,
-    NotConverged,
-    SolverConfig,
-    SolverError,
-    SpectralCurve,
-    curve_scan,
-    expectation_r,
-    hft_check,
-    solve_spectrum,
-)
+from . import analysis, frobenius, spectrum
+from .analysis import *  # noqa: F401,F403
+from .frobenius import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContinuityRow",
-    "ContinuityTable",
-    "DegenerateFit",
-    "DomainTooSmall",
-    "EigenState",
-    "FitComparison",
-    "FitModel",
-    "HftCheck",
-    "IndexOutOfRange",
-    "InvalidAlpha",
-    "InvalidMass",
-    "MatchReport",
-    "MatchResult",
-    "MonotonicityViolation",
-    "NotConverged",
-    "PhysicalParams",
-    "PUBLISHED_CUBICS",
-    "RecurrencePair",
-    "ReducedProblem",
-    "RootIsolation",
-    "RootRefinementFailure",
-    "SolverConfig",
-    "SolverError",
-    "SpectralCurve",
-    "TruncationPolynomial",
-    "TruncationSolution",
-    "branch_fit_points",
-    "cnp1_polynomial",
-    "compare_fit_to_published",
-    "continuity_demonstration",
-    "curve_scan",
-    "evaluate_F",
-    "expectation_r",
-    "fit_cubic",
-    "hft_check",
-    "map_E_to_W",
-    "map_nu_to_a",
-    "map_physical_to_nu",
-    "map_W_to_E",
-    "match_truncation_to_curves",
-    "ode_residual",
-    "polynomial_solution",
-    "recurrence_coeffs",
-    "root_isolation",
-    "series_coeffs",
-    "solve_spectrum",
-    "truncation_energy",
-    "truncation_point_set",
-    "truncation_roots",
-]
+__all__ = analysis.__all__ + frobenius.__all__ + spectrum.__all__

@@ -18,20 +18,27 @@ order-n polynomial solution exists. Those isolated solutions are exact but
 they are not a spectrum: sweeping nu, each of them sits on a continuous
 eigenvalue branch computed independently in :mod:`radspec.spectrum`.
 
-Everything here is exact: the truncation polynomial is built over the
-rationals, real roots are counted with a Sturm chain and isolated by
-exact-sign bisection, and series coefficients at a root are evaluated in
-rational arithmetic before the final conversion to float.
+With W eliminated the recurrence reads c_{j+2} = nu a_j c_{j+1} + b_j c_j,
+with a_j > 0 and b_j < 0 for j < n. Rescaled to monic form, c_{n+1} is the
+characteristic polynomial of a symmetric tridiagonal (Jacobi) matrix with
+zero diagonal and off-diagonal entries sqrt(-b_{k-1} / (a_{k-1} a_{k-2})),
+k = 1..n, so by Favard's theorem its n+1 roots are real, simple and
+symmetric about 0. The roots are seeded from that matrix's eigenvalues
+(Golub & Welsch 1969) and each is certified by an exact sign change of the
+truncation polynomial, which is built over the rationals; series
+coefficients at a root are evaluated in rational arithmetic before the
+final conversion to float.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
+
+from scipy.linalg import eigvalsh_tridiagonal
 
 __all__ = [
     "ReducedProblem",
@@ -57,7 +64,6 @@ __all__ = [
 # 1e-13 root still shows ~1e-1 relative residual at the worst (n=10, i=11)
 # point; 1e-25 buries that amplification below the 1e-8 residual contract.
 ROOT_REL_TOL = Fraction(1, 10**25)
-DEDUP_TOL = 1e-9                     # merge roots closer than this * (1+|nu|)
 CLOSURE_TOL = 1e-10                  # |c_{n+1}|, |c_{n+2}| relative to max |c_j|
 
 
@@ -116,10 +122,11 @@ class TruncationPolynomial:
 class RootIsolation:
     """Outcome of the realness audit for one truncation polynomial.
 
-    ``real_count`` is a rigorous Sturm-chain count of distinct real roots;
-    ``roots`` are those roots, refined and sorted strictly decreasing. A
-    deficit (real_count < degree) would mean complex roots exist; none
-    occur for the orders exercised here, but the count is never assumed.
+    ``roots`` are the real roots, refined and sorted strictly decreasing;
+    ``real_count`` is the number of disjoint brackets that certify them by
+    an exact sign change. The Jacobi structure makes every root real, and
+    a root that fails to certify raises RootRefinementFailure, so a
+    returned audit always has real_count == degree.
     """
 
     roots: tuple[float, ...]
@@ -198,103 +205,14 @@ def _poly_eval(p, x):
     return acc
 
 
-def _poly_diff(p):
-    return tuple(k * c for k, c in enumerate(p) if k)
-
-
-def _poly_rem(num, den):
-    # remainder of exact polynomial division
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    for k in range(len(num) - 1, dd - 1, -1):
-        f = num[k] / lead
-        if f:
-            for m in range(dd + 1):
-                num[k - dd + m] -= f * den[m]
-    rem = num[:dd]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(rem)
-
-
-def _poly_div(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        f = num[k] / lead
-        q[k - dd] = f
-        for m in range(dd + 1):
-            num[k - dd + m] -= f * den[m]
-    return tuple(q)
-
-
-def _sturm_chain(p):
-    chain = [p, _poly_diff(p)]
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(tuple(-c for c in rem))
-    return chain
-
-
-def _sign_variations(chain, x):
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_roots(chain, lo, hi):
-    # distinct real roots in the half-open interval (lo, hi]
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def _interior_point(q, lo, hi):
-    # a point strictly inside (lo, hi) where q does not vanish
-    for num, den in ((1, 2), (1, 3), (2, 3), (1, 5), (4, 5)):
-        mid = lo + (hi - lo) * Fraction(num, den)
-        if _poly_eval(q, mid) != 0:
-            return mid
-    raise RootRefinementFailure("no usable subdivision point found")
-
-
-def _isolate(chain, q, lo, hi, out):
-    count = _count_roots(chain, lo, hi)
-    if count == 0:
-        return
-    if count == 1 and _poly_eval(q, lo) * _poly_eval(q, hi) < 0:
-        out.append((lo, hi))
-        return
-    mid = _interior_point(q, lo, hi)
-    _isolate(chain, q, lo, mid, out)
-    _isolate(chain, q, mid, hi, out)
-
-
-def _refine(q, lo, hi):
-    flo = _poly_eval(q, lo)
-    for _ in range(400):
-        if hi - lo <= ROOT_REL_TOL * max(Fraction(1), hi):
-            return (lo + hi) / 2
-        mid = (lo + hi) / 2
-        v = _poly_eval(q, mid)
-        if v == 0:
-            return mid
-        if (v > 0) == (flo > 0):
-            lo, flo = mid, v
-        else:
-            hi = mid
-    raise RootRefinementFailure(
-        f"bisection did not reach tolerance on ({float(lo)}, {float(hi)})")
-
-
 # ---------------------------------------------------------------------------
 # truncation polynomial and its roots
+
+def _truncated_pair(j: int, n: int, s: int) -> tuple[Fraction, Fraction]:
+    # (a_j, b_j) in c_{j+2} = nu a_j c_{j+1} + b_j c_j, W eliminated by order-n truncation
+    den = (j + 2) * (j + 2 * (s + 1))
+    return Fraction(2 * j + 2 * s + 3, 2 * den), Fraction(2 * (j - n), den)
+
 
 @lru_cache(maxsize=None)
 def _series_polynomials(n: int, s: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -302,9 +220,7 @@ def _series_polynomials(n: int, s: int) -> tuple[tuple[Fraction, ...], ...]:
     polys = [(Fraction(1),)]
     prev: tuple[Fraction, ...] = ()
     for j in range(-1, n + 1):
-        den = (j + 2) * (j + 2 * (s + 1))
-        a = Fraction(2 * j + 2 * s + 3, 2 * den)
-        b = Fraction(2 * (j - n), den)        # B_j with W eliminated
+        a, b = _truncated_pair(j, n, s)
         nxt = [Fraction(0)] + [a * c for c in polys[-1]]
         for k, c in enumerate(prev):
             nxt[k] += b * c
@@ -328,75 +244,97 @@ def cnp1_polynomial(n: int, l: int) -> TruncationPolynomial:
     return TruncationPolynomial(n=n, l=l, coeffs=coeffs)
 
 
+def _jacobi_seeds(n: int, s: int, count: int) -> list[float]:
+    # squares of the `count` largest eigenvalues of the Jacobi matrix whose
+    # characteristic polynomial is c_{n+1}: float seeds in mu, increasing
+    pairs = [_truncated_pair(j, n, s) for j in range(-1, n)]
+    off = [math.sqrt(-b / (a * a_prev)) for (a_prev, _), (a, b) in zip(pairs, pairs[1:])]
+    eigenvalues = eigvalsh_tridiagonal([0.0] * (n + 1), off)
+    return [float(lam) ** 2 for lam in eigenvalues[n + 1 - count:]]
+
+
+# Roots in mu are bisected down to one cell of the dyadic grid m / 2^_GRID_BITS,
+# whose width 2^-_GRID_BITS is the largest power of two <= ROOT_REL_TOL.
+_GRID_BITS = (ROOT_REL_TOL.denominator // ROOT_REL_TOL.numerator).bit_length()
+
+
 class _RootRecord(NamedTuple):
     nu: float
     mu: Fraction     # exact refined value of nu^2
 
 
 @lru_cache(maxsize=None)
-def _root_data(n: int, s: int) -> tuple[tuple[_RootRecord, ...], int]:
-    """Isolated roots (decreasing nu) and the rigorous real-root count."""
+def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
+    """All n+1 roots in decreasing nu, each certified by an exact sign change.
+
+    The positive roots mu = nu^2 of the reduced polynomial q are bracketed on
+    the dyadic grid around the Jacobi seeds: from 0 through the midpoints of
+    neighbouring seeds to twice the last seed. The brackets are disjoint and
+    there are deg(q) of them, so a sign change of q across every one accounts
+    for all its roots. Each is then bisected in integer arithmetic.
+    """
     p = _series_polynomials(n, s)[n + 1]
     parity = (n + 1) % 2
     if any(c != 0 for k, c in enumerate(p) if k % 2 != parity):
         raise AssertionError(f"parity violated for n={n}, s={s}")
     q = p[parity::2]                      # polynomial in mu = nu^2
     if q[0] == 0:
-        # would mean a nu=0 root of multiplicity > parity; not seen at any
-        # tested order, so treat as a defect rather than guessing
+        # a nu=0 root of multiplicity > parity cannot occur for a Jacobi
+        # matrix, so treat it as a defect rather than guessing
         raise RootRefinementFailure(f"mu=0 root in reduced polynomial (n={n}, s={s})")
 
-    positives: list[Fraction] = []
-    if len(q) > 1:
-        chain = _sturm_chain(q)
-        gcd = chain[-1]
-        if len(gcd) > 1:                  # repeated roots: isolate the squarefree part
-            q = _poly_div(q, gcd)
-            chain = _sturm_chain(q)
-        bound = Fraction(1) + max(abs(c) for c in q[:-1]) / q[-1]
-        brackets: list[tuple[Fraction, Fraction]] = []
-        _isolate(chain, q, Fraction(0), bound, brackets)
-        positives = sorted((_refine(q, lo, hi) for lo, hi in brackets), reverse=True)
+    d = len(q) - 1
+    den = math.lcm(*(c.denominator for c in q))
+    # 2^(K d) den q(m / 2^K) with K = _GRID_BITS: an integer polynomial in m
+    scaled = [int(c * den) << (_GRID_BITS * (d - k)) for k, c in enumerate(q)]
 
-    real_count = 2 * len(positives) + parity
-    records = [_RootRecord(math.sqrt(float(mu)), mu) for mu in positives]
+    def sign(m: int) -> int:
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * m + c
+        return (acc > 0) - (acc < 0)
+
+    seeds = [int(math.ldexp(mu, _GRID_BITS)) for mu in _jacobi_seeds(n, s, d)]
+    cuts = [0, *((a + b) // 2 for a, b in zip(seeds, seeds[1:]))]
+    cuts += [2 * m for m in seeds[-1:]]          # no upper cut when there are no seeds
+    positives: list[Fraction] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        sign_lo = sign(lo)
+        if not lo < hi or sign_lo * sign(hi) >= 0:
+            raise RootRefinementFailure(
+                f"no certified root of c_{n + 1} for s={s} with nu^2 in "
+                f"[{math.ldexp(lo, -_GRID_BITS)}, {math.ldexp(hi, -_GRID_BITS)}]")
+        while hi - lo > 1:                 # keeps the root in (lo, hi]
+            mid = (lo + hi) // 2
+            if sign(mid) == sign_lo:
+                lo = mid
+            else:
+                hi = mid
+        positives.append(Fraction(lo + hi, 1 << (_GRID_BITS + 1)))
+
+    records = [_RootRecord(math.sqrt(float(mu)), mu) for mu in reversed(positives)]
     if parity:
         records.append(_RootRecord(0.0, Fraction(0)))
-    records.extend(_RootRecord(-math.sqrt(float(mu)), mu) for mu in reversed(positives))
-
-    deduped: list[_RootRecord] = []
-    for rec in records:
-        if deduped and abs(rec.nu - deduped[-1].nu) < DEDUP_TOL * (1 + abs(rec.nu)):
-            continue
-        deduped.append(rec)
-    return tuple(deduped), real_count
+    records.extend(_RootRecord(-math.sqrt(float(mu)), mu) for mu in positives)
+    return tuple(records)
 
 
 def root_isolation(n: int, l: int) -> RootIsolation:
-    """Realness audit for c_{n+1}: refined real roots plus a rigorous count."""
-    records, real_count = _root_data(n, abs(l))
+    """Realness audit for c_{n+1}: certified real roots and their count."""
+    records = _root_data(n, abs(l))
     return RootIsolation(
         roots=tuple(rec.nu for rec in records),
-        real_count=real_count,
+        real_count=len(records),
         degree=n + 1,
     )
 
 
 def truncation_roots(n: int, l: int) -> list[float]:
-    """All real roots of c_{n+1}(nu), strictly decreasing.
+    """All n+1 roots of c_{n+1}(nu), real and strictly decreasing.
 
-    Warns if the rigorous real-root count falls short of the degree n+1
-    (no such deficit occurs for n <= 22, but it is checked, not assumed).
+    Raises RootRefinementFailure if any root fails to certify.
     """
-    iso = root_isolation(n, l)
-    if not iso.all_real:
-        warnings.warn(
-            f"truncation polynomial n={n}, l={l}: only {iso.real_count} of "
-            f"{iso.degree} roots are real",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return list(iso.roots)
+    return list(root_isolation(n, l).roots)
 
 
 def _coeff_at_root(poly: tuple[Fraction, ...], rec: _RootRecord, j: int) -> float:
@@ -412,7 +350,7 @@ def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
     refined root before conversion to float; the closure conditions
     c_{n+1} = c_{n+2} = 0 are verified to 1e-10 relative to max |c_j|.
     """
-    records, _ = _root_data(n, abs(l))
+    records = _root_data(n, abs(l))
     if not 1 <= i <= len(records):
         raise IndexOutOfRange(
             f"root index i={i} outside 1..{len(records)} for n={n}, l={l}")

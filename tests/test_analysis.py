@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,18 @@ def test_point_set_low_order():
     assert [(p.n, p.i) for p in pts] == [(0, 1), (1, 1), (1, 2)]
     assert [p.nu_root for p in pts] == pytest.approx([0.0, ROOT_83, -ROOT_83],
                                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_point_set_matches_reference_table(l):
+    """Every solution with n <= 22 reproduces the committed table by repr."""
+    table = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "truncation.csv"
+    with table.open(newline="") as fh:
+        expected = [[row["n"], row["i"], row["nu"], row["W"]]
+                    for row in csv.DictReader(fh) if int(row["s"]) == l]
+    got = [[str(p.n), str(p.i), repr(p.nu_root), repr(p.W)]
+           for p in truncation_point_set(22, 23, l)]
+    assert got == expected
 
 
 def test_point_set_figure_inventory():

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from radspec import frobenius
 from radspec.frobenius import (
     IndexOutOfRange,
+    RootRefinementFailure,
     cnp1_polynomial,
     evaluate_F,
     ode_residual,
@@ -136,7 +138,7 @@ def test_roots_order_two_symmetric_triple():
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_realness_audit_full_count(l):
-    """The Sturm-chain count certifies n+1 real roots at every tested order."""
+    """n+1 disjoint sign-change brackets certify every root at each tested order."""
     for n in range(0, 23):
         iso = root_isolation(n, l)
         assert iso.degree == n + 1
@@ -147,12 +149,29 @@ def test_realness_audit_full_count(l):
 
 
 def test_roots_satisfy_polynomial():
-    for n, l in ((5, 0), (12, 1), (22, 2)):
+    for n, l in ((5, 0), (12, 1), (22, 2), (30, 0), (40, 1), (40, 2)):
         poly = cnp1_polynomial(n, l)
-        for nu in truncation_roots(n, l):
+        roots = truncation_roots(n, l)
+        assert len(roots) == n + 1
+        assert all(a > b for a, b in zip(roots, roots[1:]))
+        for nu in roots:
             # scale by the largest monomial magnitude at this nu
             terms = max(abs(float(c) * nu ** k) for k, c in enumerate(poly.coeffs))
             assert abs(poly(nu)) <= 1e-10 * max(terms, 1.0)
+
+
+@pytest.mark.parametrize("distort", [
+    # two brackets with a sign change each, but the second runs backwards
+    # into the first: without the disjointness check it would pass
+    lambda lo, hi: [hi + 0.9 * lo, 0.1 * lo],
+    lambda lo, hi: [0.5 * lo, 0.6 * lo],            # brackets miss the roots
+], ids=["backward-bracket", "missed-roots"])
+def test_uncertified_seeds_raise(monkeypatch, distort):
+    true_seeds = frobenius._jacobi_seeds
+    monkeypatch.setattr(frobenius, "_jacobi_seeds",
+                        lambda n, s, count: distort(*true_seeds(n, s, count)))
+    with pytest.raises(RootRefinementFailure):
+        frobenius._root_data.__wrapped__(3, 1)      # two roots in mu; bypass the cache
 
 
 def test_root_symmetry_under_negation():
