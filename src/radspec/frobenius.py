@@ -25,9 +25,11 @@ zero diagonal and off-diagonal entries sqrt(-b_{k-1} / (a_{k-1} a_{k-2})),
 k = 1..n, so by Favard's theorem its n+1 roots are real, simple and
 symmetric about 0. The roots are seeded from that matrix's eigenvalues
 (Golub & Welsch 1969) and each is certified by an exact sign change of the
-truncation polynomial, which is built over the rationals; series
-coefficients at a root are evaluated in rational arithmetic before the
-final conversion to float.
+truncation polynomial. Since c_j has the parity of j, c_j = d_j nu^(j mod 2)
+with d_j a polynomial in mu = nu^2, and one recurrence for the d_j serves
+twice: run over rational polynomials in mu it yields the reduced truncation
+polynomial d_{n+1}(mu), and run at an exact rational root mu it yields the
+series coefficients there in O(n) rational steps, converted to float last.
 """
 
 from __future__ import annotations
@@ -196,58 +198,59 @@ def truncation_energy(n: int, s: int, nu):
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial arithmetic (ascending Fraction tuples)
-
-def _poly_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # truncation polynomial and its roots
+#
+# With W eliminated, c_{j+2} = nu a_j c_{j+1} + b_j c_j and c_j has the parity
+# of j, so c_j = d_j nu^(j mod 2) with d_{j+2} = a_j m_j d_{j+1} + b_j d_j in
+# mu = nu^2, where m_j = mu for even j and 1 for odd j. Both the truncation
+# polynomial d_{n+1}(mu) and the coefficients at an exact root come from
+# running this one recurrence.
 
-def _truncated_pair(j: int, n: int, s: int) -> tuple[Fraction, Fraction]:
-    # (a_j, b_j) in c_{j+2} = nu a_j c_{j+1} + b_j c_j, W eliminated by order-n truncation
-    den = (j + 2) * (j + 2 * (s + 1))
-    return Fraction(2 * j + 2 * s + 3, 2 * den), Fraction(2 * (j - n), den)
+@lru_cache(maxsize=None)
+def _truncated_pairs(n: int, s: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    # (a_j, b_j) for j = -1..n: the pair (A_j, B_j) at nu = 1 with W pinned
+    # by order-n truncation, since A_j = nu a_j and B_j does not depend on nu
+    one = Fraction(1)
+    W = truncation_energy(n, s, one)
+    return tuple((pair.A, pair.B) for pair in
+                 (recurrence_coeffs(j, s, one, W) for j in range(-1, n + 1)))
 
 
 @lru_cache(maxsize=None)
-def _series_polynomials(n: int, s: int) -> tuple[tuple[Fraction, ...], ...]:
-    """c_0..c_{n+2} as exact polynomials in nu, W fixed by order-n truncation."""
-    polys = [(Fraction(1),)]
+def _reduced_polynomial(n: int, s: int) -> tuple[Fraction, ...]:
+    """q = d_{n+1} as ascending coefficients in mu: c_{n+1} = q(nu^2) nu^((n+1) mod 2)."""
     prev: tuple[Fraction, ...] = ()
-    for j in range(-1, n + 1):
-        a, b = _truncated_pair(j, n, s)
-        nxt = [Fraction(0)] + [a * c for c in polys[-1]]
+    cur = (Fraction(1),)
+    for j, (a, b) in enumerate(_truncated_pairs(n, s)[: n + 1], start=-1):
+        nxt = ([Fraction(0)] if j % 2 == 0 else []) + [a * c for c in cur]
         for k, c in enumerate(prev):
             nxt[k] += b * c
-        prev = polys[-1]
-        polys.append(tuple(nxt))
-    return tuple(polys)
+        prev, cur = cur, tuple(nxt)
+    return cur
 
 
 def cnp1_polynomial(n: int, l: int) -> TruncationPolynomial:
     """Exact truncation polynomial c_{n+1}(nu) for order n and momentum l.
 
-    Built by running the recurrence symbolically in nu with the eigenvalue
-    eliminated through W = 2(n+s+1) - nu^2/4, so each B_j collapses to the
-    nu-independent rational 2(j-n) / ((j+2)(j+2(s+1))). The result has
-    degree exactly n+1, parity (-1)^(n+1), and a positive leading
-    coefficient. Depends on l only through s = |l|.
+    Built by running the recurrence symbolically in mu = nu^2 with the
+    eigenvalue eliminated through W = 2(n+s+1) - nu^2/4, so each B_j
+    collapses to the nu-independent rational 2(j-n) / ((j+2)(j+2(s+1))),
+    then spread back over the powers of nu. The result has degree exactly
+    n+1, parity (-1)^(n+1), and a positive leading coefficient. Depends on
+    l only through s = |l|.
     """
     if n < 0:
         raise ValueError(f"truncation order n={n} must be >= 0")
-    coeffs = _series_polynomials(n, abs(l))[n + 1]
-    return TruncationPolynomial(n=n, l=l, coeffs=coeffs)
+    q = _reduced_polynomial(n, abs(l))
+    coeffs = [Fraction(0)] * (n + 2)
+    coeffs[(n + 1) % 2::2] = q
+    return TruncationPolynomial(n=n, l=l, coeffs=tuple(coeffs))
 
 
 def _jacobi_seeds(n: int, s: int, count: int) -> list[float]:
     # squares of the `count` largest eigenvalues of the Jacobi matrix whose
     # characteristic polynomial is c_{n+1}: float seeds in mu, increasing
-    pairs = [_truncated_pair(j, n, s) for j in range(-1, n)]
+    pairs = _truncated_pairs(n, s)[:n + 1]
     off = [math.sqrt(-b / (a * a_prev)) for (a_prev, _), (a, b) in zip(pairs, pairs[1:])]
     eigenvalues = eigvalsh_tridiagonal([0.0] * (n + 1), off)
     return [float(lam) ** 2 for lam in eigenvalues[n + 1 - count:]]
@@ -273,11 +276,7 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
     there are deg(q) of them, so a sign change of q across every one accounts
     for all its roots. Each is then bisected in integer arithmetic.
     """
-    p = _series_polynomials(n, s)[n + 1]
-    parity = (n + 1) % 2
-    if any(c != 0 for k, c in enumerate(p) if k % 2 != parity):
-        raise AssertionError(f"parity violated for n={n}, s={s}")
-    q = p[parity::2]                      # polynomial in mu = nu^2
+    q = _reduced_polynomial(n, s)
     if q[0] == 0:
         # a nu=0 root of multiplicity > parity cannot occur for a Jacobi
         # matrix, so treat it as a defect rather than guessing
@@ -313,7 +312,7 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
         positives.append(Fraction(lo + hi, 1 << (_GRID_BITS + 1)))
 
     records = [_RootRecord(math.sqrt(float(mu)), mu) for mu in reversed(positives)]
-    if parity:
+    if (n + 1) % 2:
         records.append(_RootRecord(0.0, Fraction(0)))
     records.extend(_RootRecord(-math.sqrt(float(mu)), mu) for mu in positives)
     return tuple(records)
@@ -337,10 +336,16 @@ def truncation_roots(n: int, l: int) -> list[float]:
     return list(root_isolation(n, l).roots)
 
 
-def _coeff_at_root(poly: tuple[Fraction, ...], rec: _RootRecord, j: int) -> float:
-    # c_j has parity j; evaluate its even part exactly at mu, then restore sign
-    val = _poly_eval(poly[j % 2::2], rec.mu)
-    return float(val) * (rec.nu if j % 2 else 1.0)
+@lru_cache(maxsize=None)
+def _series_at_root(n: int, s: int, mu: Fraction) -> tuple[Fraction, ...]:
+    """d_0..d_{n+2} at the exact root mu, where c_j = d_j nu^(j mod 2).
+
+    Sign-blind: both roots +/-sqrt(mu) share it.
+    """
+    d = [Fraction(0), Fraction(1)]                       # d_{-1}, d_0
+    for j, (a, b) in enumerate(_truncated_pairs(n, s), start=-1):
+        d.append(a * (mu if j % 2 == 0 else 1) * d[-1] + b * d[-2])
+    return tuple(d[1:])
 
 
 def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
@@ -355,8 +360,8 @@ def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
         raise IndexOutOfRange(
             f"root index i={i} outside 1..{len(records)} for n={n}, l={l}")
     rec = records[i - 1]
-    polys = _series_polynomials(n, abs(l))
-    values = [_coeff_at_root(polys[j], rec, j) for j in range(n + 3)]
+    d = _series_at_root(n, abs(l), rec.mu)
+    values = [float(dj) * (rec.nu if j % 2 else 1.0) for j, dj in enumerate(d)]
     scale = max(abs(v) for v in values[: n + 1])
     if abs(values[n + 1]) > CLOSURE_TOL * scale or abs(values[n + 2]) > CLOSURE_TOL * scale:
         raise RootRefinementFailure(
@@ -381,24 +386,6 @@ def evaluate_F(sol: TruncationSolution, r: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _exact_coeff_pairs(n: int, s: int, mu: Fraction) -> tuple:
-    """c_j at the root as exact field elements (x, y) meaning x + y*nu.
-
-    Each c_j has the parity of j, so one component is always zero; the
-    field is Q(nu) with nu^2 = mu, and the representation is sign-blind
-    (both roots +/-sqrt(mu) share it).
-    """
-    polys = _series_polynomials(n, s)
-    pairs = []
-    for j in range(n + 1):
-        if j % 2 == 0:
-            pairs.append((_poly_eval(polys[j][0::2], mu), Fraction(0)))
-        else:
-            pairs.append((Fraction(0), _poly_eval(polys[j][1::2], mu)))
-    return tuple(pairs)
-
-
-@lru_cache(maxsize=None)
 def _sqrt_highprec(mu: Fraction) -> Fraction:
     # rational sqrt(mu) good to ~2^-160, for cancellation-free conversion
     K = 1 << 160
@@ -417,7 +404,9 @@ def _exact_residual_terms(sol: TruncationSolution, r: float) -> tuple[list[float
     W = 2 * (n + s + 1) - mu / 4
 
     Px = Py = Ppx = Ppy = Pppx = Pppy = Fraction(0)
-    for cx, cy in reversed(_exact_coeff_pairs(n, s, mu)):
+    d = _series_at_root(n, s, mu)
+    for j in reversed(range(n + 1)):
+        cx, cy = (0, d[j]) if j % 2 else (d[j], 0)       # c_j = cx + cy nu
         Pppx, Pppy = Pppx * rf + 2 * Ppx, Pppy * rf + 2 * Ppy
         Ppx, Ppy = Ppx * rf + Px, Ppy * rf + Py
         Px, Py = Px * rf + cx, Py * rf + cy
