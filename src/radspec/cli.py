@@ -114,8 +114,8 @@ def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, grid_points, r_ma
         grid = list(np.linspace(nu_min, nu_max, nu_count))
     else:
         raise click.UsageError("give --nu values or --nu-min/--nu-max/--nu-count")
-    config = SolverConfig(r_max=r_max, grid_points=grid_points, levels=branches)
     try:
+        config = SolverConfig(r_max=r_max, grid_points=grid_points, levels=branches)
         curves = curve_scan(l, branches, grid, config)
     except _MODULE_ERRORS as exc:
         raise click.exceptions.Exit(_fail(exc))

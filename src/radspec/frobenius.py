@@ -25,11 +25,11 @@ zero diagonal and off-diagonal entries sqrt(-b_{k-1} / (a_{k-1} a_{k-2})),
 k = 1..n, so by Favard's theorem its n+1 roots are real, simple and
 symmetric about 0. The roots are seeded from that matrix's eigenvalues
 (Golub & Welsch 1969) and each is certified by an exact sign change of the
-truncation polynomial. Since c_j has the parity of j, c_j = d_j nu^(j mod 2)
-with d_j a polynomial in mu = nu^2, and one recurrence for the d_j serves
-twice: run over rational polynomials in mu it yields the reduced truncation
-polynomial d_{n+1}(mu), and run at an exact rational root mu it yields the
-series coefficients there in O(n) rational steps, converted to float last.
+truncation polynomial. As c_j has the parity of j, c_j = d_j nu^(j mod 2)
+with d_{j+2} = a_j m_j d_{j+1} + b_j d_j in mu = nu^2 (m_j = mu for even j,
+1 for odd j). That one recurrence, run over rational polynomials in mu,
+yields the reduced truncation polynomial d_{n+1}(mu); run at an exact root
+mu, it yields the series coefficients there in O(n) rational steps.
 """
 
 from __future__ import annotations
@@ -61,16 +61,23 @@ __all__ = [
     "ode_residual",
 ]
 
-# Bisection width, relative, in nu^2. Far tighter than float64 needs: the
-# leftover c_{n+1}(mu) enters the equation residual multiplied by r^n, so a
-# 1e-13 root still shows ~1e-1 relative residual at the worst (n=10, i=11)
-# point; 1e-25 buries that amplification below the 1e-8 residual contract.
+# Bisection width in nu^2, relative to each root (and never wider than this
+# in absolute terms): a refined mu is within a factor 1 +/- ROOT_REL_TOL/2 of
+# the true root. Far tighter than float64 needs: the leftover c_{n+1}(mu)
+# enters the equation residual multiplied by r^n, so a 1e-13 root still shows
+# ~1e-1 relative residual at the worst (n=10, i=11) point; 1e-25 buries that
+# amplification below the 1e-8 residual contract.
 ROOT_REL_TOL = Fraction(1, 10**25)
 CLOSURE_TOL = 1e-10                  # |c_{n+1}|, |c_{n+2}| relative to max |c_j|
 
 
 class RootRefinementFailure(RuntimeError):
-    """A bracketed root could not be refined to tolerance."""
+    """A truncation solution failed an exact check.
+
+    A root did not certify (no disjoint sign-change bracket, or mu = 0 in the
+    reduced polynomial), c_{n+1}, c_{n+2} missed the closure tolerance, or
+    c_n vanished.
+    """
 
 
 class IndexOutOfRange(IndexError):
@@ -198,13 +205,7 @@ def truncation_energy(n: int, s: int, nu):
 
 
 # ---------------------------------------------------------------------------
-# truncation polynomial and its roots
-#
-# With W eliminated, c_{j+2} = nu a_j c_{j+1} + b_j c_j and c_j has the parity
-# of j, so c_j = d_j nu^(j mod 2) with d_{j+2} = a_j m_j d_{j+1} + b_j d_j in
-# mu = nu^2, where m_j = mu for even j and 1 for odd j. Both the truncation
-# polynomial d_{n+1}(mu) and the coefficients at an exact root come from
-# running this one recurrence.
+# truncation polynomial and its roots: one recurrence for d_j in mu = nu^2
 
 @lru_cache(maxsize=None)
 def _truncated_pairs(n: int, s: int) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -212,8 +213,8 @@ def _truncated_pairs(n: int, s: int) -> tuple[tuple[Fraction, Fraction], ...]:
     # by order-n truncation, since A_j = nu a_j and B_j does not depend on nu
     one = Fraction(1)
     W = truncation_energy(n, s, one)
-    return tuple((pair.A, pair.B) for pair in
-                 (recurrence_coeffs(j, s, one, W) for j in range(-1, n + 1)))
+    pairs = (recurrence_coeffs(j, s, one, W) for j in range(-1, n + 1))
+    return tuple((pair.A, pair.B) for pair in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -250,15 +251,10 @@ def cnp1_polynomial(n: int, l: int) -> TruncationPolynomial:
 def _jacobi_seeds(n: int, s: int, count: int) -> list[float]:
     # squares of the `count` largest eigenvalues of the Jacobi matrix whose
     # characteristic polynomial is c_{n+1}: float seeds in mu, increasing
-    pairs = _truncated_pairs(n, s)[:n + 1]
+    pairs = _truncated_pairs(n, s)[: n + 1]
     off = [math.sqrt(-b / (a * a_prev)) for (a_prev, _), (a, b) in zip(pairs, pairs[1:])]
     eigenvalues = eigvalsh_tridiagonal([0.0] * (n + 1), off)
     return [float(lam) ** 2 for lam in eigenvalues[n + 1 - count:]]
-
-
-# Roots in mu are bisected down to one cell of the dyadic grid m / 2^_GRID_BITS,
-# whose width 2^-_GRID_BITS is the largest power of two <= ROOT_REL_TOL.
-_GRID_BITS = (ROOT_REL_TOL.denominator // ROOT_REL_TOL.numerator).bit_length()
 
 
 class _RootRecord(NamedTuple):
@@ -283,9 +279,15 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
         raise RootRefinementFailure(f"mu=0 root in reduced polynomial (n={n}, s={s})")
 
     d = len(q) - 1
+    mu_seeds = _jacobi_seeds(n, s, d)
+    # bisect on the dyadic grid m / 2^K with 2^-K <= ROOT_REL_TOL min(1, mu/2)
+    # at the smallest seed mu: within tolerance relative to every root, with
+    # a factor 2 to spare for the seed's float error
+    cell = ROOT_REL_TOL * min(1, Fraction(min(mu_seeds, default=2.0)) / 2)
+    K = (-(-cell.denominator // cell.numerator) - 1).bit_length()
     den = math.lcm(*(c.denominator for c in q))
-    # 2^(K d) den q(m / 2^K) with K = _GRID_BITS: an integer polynomial in m
-    scaled = [int(c * den) << (_GRID_BITS * (d - k)) for k, c in enumerate(q)]
+    # 2^(K d) den q(m / 2^K): an integer polynomial in m
+    scaled = [int(c * den) << (K * (d - k)) for k, c in enumerate(q)]
 
     def sign(m: int) -> int:
         acc = 0
@@ -293,7 +295,7 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
             acc = acc * m + c
         return (acc > 0) - (acc < 0)
 
-    seeds = [int(math.ldexp(mu, _GRID_BITS)) for mu in _jacobi_seeds(n, s, d)]
+    seeds = [int(math.ldexp(mu, K)) for mu in mu_seeds]
     cuts = [0, *((a + b) // 2 for a, b in zip(seeds, seeds[1:]))]
     cuts += [2 * m for m in seeds[-1:]]          # no upper cut when there are no seeds
     positives: list[Fraction] = []
@@ -302,14 +304,14 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
         if not lo < hi or sign_lo * sign(hi) >= 0:
             raise RootRefinementFailure(
                 f"no certified root of c_{n + 1} for s={s} with nu^2 in "
-                f"[{math.ldexp(lo, -_GRID_BITS)}, {math.ldexp(hi, -_GRID_BITS)}]")
+                f"[{math.ldexp(lo, -K)}, {math.ldexp(hi, -K)}]")
         while hi - lo > 1:                 # keeps the root in (lo, hi]
             mid = (lo + hi) // 2
             if sign(mid) == sign_lo:
                 lo = mid
             else:
                 hi = mid
-        positives.append(Fraction(lo + hi, 1 << (_GRID_BITS + 1)))
+        positives.append(Fraction(lo + hi, 1 << (K + 1)))
 
     records = [_RootRecord(math.sqrt(float(mu)), mu) for mu in reversed(positives)]
     if (n + 1) % 2:
@@ -338,10 +340,7 @@ def truncation_roots(n: int, l: int) -> list[float]:
 
 @lru_cache(maxsize=None)
 def _series_at_root(n: int, s: int, mu: Fraction) -> tuple[Fraction, ...]:
-    """d_0..d_{n+2} at the exact root mu, where c_j = d_j nu^(j mod 2).
-
-    Sign-blind: both roots +/-sqrt(mu) share it.
-    """
+    """d_0..d_{n+2} at the exact root mu; c_j = d_j nu^(j mod 2) for either sign of nu."""
     d = [Fraction(0), Fraction(1)]                       # d_{-1}, d_0
     for j, (a, b) in enumerate(_truncated_pairs(n, s), start=-1):
         d.append(a * (mu if j % 2 == 0 else 1) * d[-1] + b * d[-2])
@@ -351,9 +350,10 @@ def _series_at_root(n: int, s: int, mu: Fraction) -> tuple[Fraction, ...]:
 def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
     """Full solution record for the i-th root (1-based, decreasing nu).
 
-    Coefficients c_0..c_n are evaluated in exact rational arithmetic at the
-    refined root before conversion to float; the closure conditions
-    c_{n+1} = c_{n+2} = 0 are verified to 1e-10 relative to max |c_j|.
+    Coefficients c_0..c_{n+2} come from one pass of the recurrence in
+    mu = nu^2 at the exact refined root, in rational arithmetic, and are
+    converted to float last; the closure conditions c_{n+1} = c_{n+2} = 0
+    are verified to 1e-10 relative to max |c_j|, and c_n must not vanish.
     """
     records = _root_data(n, abs(l))
     if not 1 <= i <= len(records):

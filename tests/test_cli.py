@@ -100,6 +100,19 @@ def test_spectrum_without_grid_is_usage_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--branches", "0"],
+    ["--grid-points", "50"],
+    ["--r-max", "-1"],
+], ids=["branches", "grid-points", "r-max"])
+def test_spectrum_invalid_config_is_domain_error(runner, flags):
+    """A rejected solver setting exits 1 with a message, not a traceback."""
+    res = runner.invoke(main, ["spectrum", "--nu", "0", *flags])
+    assert res.exit_code == 1
+    assert "error: ValueError" in res.output
+    assert not isinstance(res.exception, ValueError)
+
+
 # --- verify ------------------------------------------------------------------
 
 def test_verify_residual_single_solution(runner):

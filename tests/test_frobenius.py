@@ -112,6 +112,17 @@ def test_cnp1_degree_parity_leading_sign(l):
         assert all(c == 0 for k, c in enumerate(poly.coeffs) if k % 2 != parity)
 
 
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_mu_recurrence_matches_public_recurrence(s):
+    """c_{n+1}(nu) and every c_j = d_j(nu^2) nu^(j mod 2) equal series_coeffs exactly."""
+    for nu in (Fraction(1, 3), Fraction(7, 2), Fraction(-5, 4)):
+        for n in range(0, 23):
+            c = series_coeffs(n + 2, s, nu, truncation_energy(n, s, nu))
+            assert cnp1_polynomial(n, s)(nu) == c[n + 1]
+            d = frobenius._series_at_root(n, s, nu * nu)
+            assert [dj * nu ** (j % 2) for j, dj in enumerate(d)] == c
+
+
 def test_cnp1_rejects_negative_order():
     with pytest.raises(ValueError):
         cnp1_polynomial(-1, 0)
@@ -158,6 +169,28 @@ def test_roots_satisfy_polynomial():
             # scale by the largest monomial magnitude at this nu
             terms = max(abs(float(c) * nu ** k) for k, c in enumerate(poly.coeffs))
             assert abs(poly(nu)) <= 1e-10 * max(terms, 1.0)
+
+
+def _horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_roots_within_relative_tolerance():
+    """Every positive root mu = nu^2 lies within mu (1 +/- ROOT_REL_TOL/2)."""
+    half = frobenius.ROOT_REL_TOL / 2
+    misses = []
+    for s in (0, 1, 2):
+        for n in range(0, 41):
+            q = cnp1_polynomial(n, s).coeffs[(n + 1) % 2::2]     # in mu
+            for rec in frobenius._root_data(n, s):
+                if rec.nu > 0:
+                    lo, hi = rec.mu * (1 - half), rec.mu * (1 + half)
+                    if _horner(q, lo) * _horner(q, hi) >= 0:
+                        misses.append((n, s, rec.nu))
+    assert misses == []
 
 
 @pytest.mark.parametrize("distort", [
