@@ -159,7 +159,7 @@ def _verify_residual(ls, n_max, tol, n_single=None, i_single=None):
     checks = []
     for l in ls:
         if n_single is not None:
-            targets = [(n_single, i_single or 1)]
+            targets = [(n_single, 1 if i_single is None else i_single)]
         else:
             targets = [(n, i) for n in range(n_max + 1) for i in range(1, n + 2)]
         worst, where = 0.0, None
@@ -179,7 +179,7 @@ def _verify_hft(ls, tol, nu_single=None, branch=0):
     cfg = SolverConfig()
     bound = max(tol, 10 * cfg.convergence_tol / 1e-4)
     if nu_single is not None:
-        cases = [(ls[0], nu_single, branch)]
+        cases = [(l, nu_single, branch) for l in ls]
     else:
         cases = [(l, nu, j) for l in ls for nu in (0.0, 2.5, 5.0) for j in (0, 1, 2)]
     for l, nu, j in cases:
@@ -216,7 +216,8 @@ def _verify_match(ls, n_max, i_max, tol):
 @click.option("--n-max", type=int, default=12, show_default=True)
 @click.option("--i-max", type=int, default=3, show_default=True)
 @click.option("--n", "n_single", type=int, default=None, help="Single order for --residual.")
-@click.option("--i", "i_single", type=int, default=None, help="Single root index for --residual.")
+@click.option("--i", "i_single", type=int, default=None,
+              help="Single root index for --residual; needs --n.")
 @click.option("--nu", "nu_single", type=float, default=None, help="Single coupling for --hft.")
 @click.option("--branch", type=int, default=0, show_default=True)
 @click.option("--match-tol", type=float, default=1e-6, show_default=True)
@@ -231,6 +232,8 @@ def verify(ctx, do_hft, do_match, do_residual, do_all, ls, n_max, i_max,
     """Run invariant suites and print a pass/fail table."""
     if not (do_hft or do_match or do_residual or do_all):
         raise click.UsageError("select a suite: --hft, --match, --residual or --all")
+    if i_single is not None and n_single is None:
+        raise click.UsageError("--i needs --n")
     ls = list(ls) if ls else [0, 1, 2]
     checks = []
     try:

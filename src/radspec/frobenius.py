@@ -162,9 +162,10 @@ class TruncationSolution:
     nu_root: float
     W: float
     coeffs: tuple[float, ...]
-    # exact nu^2 at the refined root; lets ode_residual sidestep the float
-    # coefficients, whose rounding alone costs ~1e-4 of relative residual
-    # at the most negative roots. None for hand-built records.
+    # exact nu^2 at the refined root; ode_residual rebuilds the exact
+    # coefficients, W and a 2^-160 nu from it instead of using the float
+    # fields, whose rounding alone costs ~1e-4 of relative residual at the
+    # most negative roots. None for hand-built records.
     _mu: Fraction | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -385,101 +386,52 @@ def evaluate_F(sol: TruncationSolution, r: float) -> float:
     return r ** sol.s * math.exp(-r * r / 2 - sol.nu_root * r / 2) * poly
 
 
-@lru_cache(maxsize=None)
 def _sqrt_highprec(mu: Fraction) -> Fraction:
-    # rational sqrt(mu) good to ~2^-160, for cancellation-free conversion
+    # rational sqrt(mu) good to ~2^-160: the residual terms are large and
+    # cancel, so a float nu would put a ~1e-8 rounding floor under their sum
     K = 1 << 160
     return Fraction(math.isqrt(mu.numerator * K * K // mu.denominator), K)
-
-
-def _exact_residual_terms(sol: TruncationSolution, r: float) -> tuple[list[float], float]:
-    # the six equation terms divided by the exponential factor, computed
-    # exactly in Q(nu); returns their float magnitudes plus the exact sum
-    # converted through a high-precision sqrt (the x and y components of
-    # each term are large and cancel, so float(x) + float(y)*nu would put
-    # a rounding floor of ~1e-7 under the residual)
-    mu = sol._mu
-    s, l2, n = sol.s, sol.l * sol.l, sol.n
-    rf = Fraction(r)
-    W = 2 * (n + s + 1) - mu / 4
-
-    Px = Py = Ppx = Ppy = Pppx = Pppy = Fraction(0)
-    d = _series_at_root(n, s, mu)
-    for j in reversed(range(n + 1)):
-        cx, cy = (0, d[j]) if j % 2 else (d[j], 0)       # c_j = cx + cy nu
-        Pppx, Pppy = Pppx * rf + 2 * Ppx, Pppy * rf + 2 * Ppy
-        Ppx, Ppy = Ppx * rf + Px, Ppy * rf + Py
-        Px, Py = Px * rf + cx, Py * rf + cy
-
-    def fmul(a, b):
-        return (a[0] * b[0] + a[1] * b[1] * mu, a[0] * b[1] + a[1] * b[0])
-
-    rs = rf ** s
-    rs1 = rf ** (s - 1) if s >= 1 else Fraction(0)
-    rs2 = rf ** (s - 2) if s >= 2 else Fraction(0)
-    G = (rs * Px, rs * Py)
-    Gp = (s * rs1 * Px + rs * Ppx, s * rs1 * Py + rs * Ppy)
-    Gpp = (s * (s - 1) * rs2 * Px + 2 * s * rs1 * Ppx + rs * Pppx,
-           s * (s - 1) * rs2 * Py + 2 * s * rs1 * Ppy + rs * Pppy)
-
-    phi = (-rf, Fraction(-1, 2))                  # d/dr of the exponent
-    phi2m1 = (rf * rf + mu / 4 - 1, rf)           # phi^2 - 1
-    gp_phi = fmul(Gp, phi)
-    g_phi = fmul(G, phi)
-    g_phi2 = fmul(G, phi2m1)
-    g_nu = (G[1] * mu, G[0])                      # G * nu
-
-    terms = [
-        (Gpp[0] + 2 * gp_phi[0] + g_phi2[0], Gpp[1] + 2 * gp_phi[1] + g_phi2[1]),
-        ((Gp[0] + g_phi[0]) / rf, (Gp[1] + g_phi[1]) / rf),
-        (-l2 * G[0] / rf ** 2, -l2 * G[1] / rf ** 2),
-        (-rf * rf * G[0], -rf * rf * G[1]),
-        (-rf * g_nu[0], -rf * g_nu[1]),
-        (W * G[0], W * G[1]),
-    ]
-    root = _sqrt_highprec(mu) if sol.nu_root >= 0 else -_sqrt_highprec(mu)
-    floats = [float(tx + ty * root) for tx, ty in terms]
-    resid = float(sum(tx for tx, _ in terms) + sum(ty for _, ty in terms) * root)
-    return floats, resid
 
 
 def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> float:
     """Residual of the radial equation at r, from analytic derivatives.
 
     Writes F = G(r) E(r) with G = r^s P(r) and E the exponential factor and
-    differentiates in closed form (no finite differences). Solver-produced
-    records carry the exact root, and the six equation terms are then
-    evaluated in exact rational arithmetic before the final rounding; the
-    stored float coefficients alone would cost ~1e-4 of relative residual
-    at the most negative high-order roots. With ``relative`` the residual
-    is scaled by the largest term magnitude.
+    differentiates in closed form (no finite differences); the six equation
+    terms are formed divided by E, summed, and multiplied by E once. The
+    same body runs on floats for hand-built records and on Fractions for
+    solver-produced ones, which carry the exact root mu = nu^2: exact
+    coefficients and W at mu, nu = +/-sqrt(mu) to 2^-160, and r itself, so
+    the sum is exact and rounded once (the stored float coefficients alone
+    would cost ~1e-4 of relative residual at the most negative high-order
+    roots). With ``relative`` the residual is scaled by the largest term
+    magnitude.
     """
     if r <= 0:
         raise ValueError(f"r={r} must be > 0")
-    s, nu, W = sol.s, sol.nu_root, sol.W
-    if sol._mu is not None:
-        terms, resid = _exact_residual_terms(sol, r)
-        if relative:
-            scale = max(abs(t) for t in terms)
-            return resid / scale if scale else 0.0
-        return resid * math.exp(-r * r / 2 - nu * r / 2)
-    P = Pp = Ppp = 0.0
-    for c in reversed(sol.coeffs):
-        Ppp = Ppp * r + 2 * Pp
-        Pp = Pp * r + P
-        P = P * r + c
-    rs = r ** s
-    G = rs * P
-    Gp = s * r ** (s - 1) * P + rs * Pp
-    Gpp = s * (s - 1) * r ** (s - 2) * P + 2 * s * r ** (s - 1) * Pp + rs * Ppp
-    E = math.exp(-r * r / 2 - nu * r / 2)
-    phi = -r - nu / 2                              # d/dr of the exponent
-    F = G * E
-    Fp = (Gp + G * phi) * E
-    Fpp = (Gpp + 2 * Gp * phi + G * (phi * phi - 1)) * E
-    terms = (Fpp, Fp / r, -sol.l ** 2 * F / (r * r), -r * r * F, -nu * r * F, W * F)
-    resid = math.fsum(terms)
+    s, n = sol.s, sol.n
+    if sol._mu is None:
+        x, nu, W, coeffs, total = r, sol.nu_root, sol.W, sol.coeffs, math.fsum
+    else:
+        mu = sol._mu
+        nu = _sqrt_highprec(mu) if sol.nu_root >= 0 else -_sqrt_highprec(mu)
+        x, W, total = Fraction(r), 2 * (n + s + 1) - mu / 4, sum
+        d = _series_at_root(n, s, mu)[: n + 1]
+        coeffs = [dj * nu if j % 2 else dj for j, dj in enumerate(d)]
+    P = Pp = Ppp = 0
+    for c in reversed(coeffs):
+        Ppp = Ppp * x + 2 * Pp
+        Pp = Pp * x + P
+        P = P * x + c
+    xs, xs1, xs2 = x ** s, s * x ** (s - 1), s * (s - 1) * x ** (s - 2)
+    G = xs * P
+    Gp = xs1 * P + xs * Pp
+    Gpp = xs2 * P + 2 * xs1 * Pp + xs * Ppp
+    phi = -x - nu / 2                              # d/dr of the exponent
+    terms = (Gpp + 2 * Gp * phi + G * (phi * phi - 1), (Gp + G * phi) / x,
+             -sol.l ** 2 * G / (x * x), -x * x * G, -nu * x * G, W * G)
+    resid = float(total(terms))
     if relative:
-        scale = max(abs(t) for t in terms)
+        scale = max(abs(float(t)) for t in terms)
         return resid / scale if scale else 0.0
-    return resid
+    return resid * math.exp(-r * r / 2 - sol.nu_root * r / 2)

@@ -122,6 +122,27 @@ def test_verify_residual_single_solution(runner):
     assert "PASS" in res.output and "FAIL" not in res.output
 
 
+def test_verify_residual_index_zero_is_out_of_range(runner):
+    res = runner.invoke(main, ["verify", "--residual", "--n", "1", "--i", "0",
+                               "--l", "0"])
+    assert res.exit_code == 1
+    assert "error: IndexOutOfRange" in res.output
+
+
+def test_verify_residual_index_without_order_is_usage_error(runner):
+    res = runner.invoke(main, ["verify", "--residual", "--i", "1", "--l", "0"])
+    assert res.exit_code == 2
+    assert "--i needs --n" in res.output
+
+
+def test_verify_hft_single_nu_checks_every_l(runner):
+    res = runner.invoke(main, ["verify", "--hft", "--l", "1", "--l", "2",
+                               "--nu", "1.0"])
+    assert res.exit_code == 0
+    assert "hft l=1 nu=1 j=0" in res.output
+    assert "hft l=2 nu=1 j=0" in res.output
+
+
 def test_verify_hft_ground_state(runner):
     res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--nu", "0",
                                "--branch", "0"])

@@ -323,6 +323,16 @@ def test_residual_sweep_relative():
             assert abs(ode_residual(sol, r, relative=True)) < 1e-8
 
 
+@pytest.mark.parametrize("n,i,l", [(10, 11, 0), (10, 1, 0), (9, 10, 1), (8, 9, 2)])
+def test_residual_precision_at_extreme_roots(n, i, l):
+    """The exact residual sits far below the 1e-8 contract, even at the most
+    negative roots, where a float nu alone would leave ~1e-8."""
+    sol = polynomial_solution(n, i, l)
+    worst = max(abs(ode_residual(sol, r, relative=True))
+                for r in (0.1 + 0.1 * k for k in range(100)))
+    assert worst <= 1e-13
+
+
 def test_residual_detects_detuned_coupling():
     """Shifting nu off the root by 0.1 breaks the equation visibly."""
     sol = polynomial_solution(1, 1, 0)
