@@ -198,7 +198,7 @@ def match_truncation_to_curves(points: Sequence[TruncationSolution],
 
     Solves the spectrum at each point's root with branches up to j = i
     (one above the expected match, enough to certify nearness since
-    adjacent branches are ~4 apart while matches land within ~1e-9).
+    adjacent branches are ~4 apart while matches land within ~1e-11).
     """
     if tol <= 0:
         raise ValueError(f"tol={tol} must be positive")

@@ -101,7 +101,7 @@ def truncate(l, n_max, i_max, fmt, out):
 @click.option("--nu-count", type=int, default=None)
 @click.option("--grid-points", type=int, default=5000, show_default=True)
 @click.option("--r-max", type=float, default=None,
-              help="Domain cutoff; default grows with |nu|.")
+              help="Eigenfunction sampling cutoff; default grows with |nu|.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(allow_dash=True), default="-", show_default=True)
@@ -174,15 +174,16 @@ def _verify_residual(ls, n_max, tol, n_single=None, i_single=None):
     return checks
 
 
-def _verify_hft(ls, tol, nu_single=None, branch=0):
+def _verify_hft(ls, tol, nu_single=None, branch=None):
     checks = []
     cfg = SolverConfig()
     bound = max(tol, 10 * cfg.convergence_tol / 1e-4)
-    if nu_single is not None:
-        cases = [(l, nu_single, branch) for l in ls]
+    nus = (0.0, 2.5, 5.0) if nu_single is None else (nu_single,)
+    if branch is not None:
+        js = (branch,)
     else:
-        cases = [(l, nu, j) for l in ls for nu in (0.0, 2.5, 5.0) for j in (0, 1, 2)]
-    for l, nu, j in cases:
+        js = (0, 1, 2) if nu_single is None else (0,)
+    for l, nu, j in ((l, nu, j) for l in ls for nu in nus for j in js):
         res = hft_check(ReducedProblem(l, nu), j, config=cfg)
         ok = res.discrepancy <= bound and res.dW_dnu > 0
         checks.append((f"hft l={l} nu={nu:g} j={j}", ok,
@@ -219,7 +220,8 @@ def _verify_match(ls, n_max, i_max, tol):
 @click.option("--i", "i_single", type=int, default=None,
               help="Single root index for --residual; needs --n.")
 @click.option("--nu", "nu_single", type=float, default=None, help="Single coupling for --hft.")
-@click.option("--branch", type=int, default=0, show_default=True)
+@click.option("--branch", type=click.IntRange(min=0), default=None,
+              help="Single branch for --hft. Default: 0 with --nu, else 0, 1, 2.")
 @click.option("--match-tol", type=float, default=1e-6, show_default=True)
 @click.option("--hft-tol", type=float, default=1e-4, show_default=True)
 @click.option("--residual-tol", type=float, default=1e-8, show_default=True)

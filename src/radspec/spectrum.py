@@ -1,33 +1,33 @@
 """Numeric route to the radial eigenproblem: the true continuous spectrum.
 
-Solves
+Solves F'' + F'/r - (l^2/r^2) F - r^2 F - nu r F = -W F under the radial
+measure r dr by a Galerkin method in F_k = r^s exp(-(r-c)^2/2) p_k(r),
+s = |l|, with p_k orthonormal for the weight r^(2s+1) exp(-(r-c)^2). The
+shift c = max(0, -nu/2), floored to a multiple of 1/2, centres the weight on
+the well of r^2 + nu r. Integrating by parts cancels the r^2 and l^2/r^2
+terms and leaves A = D + (2s+2 - c^2) I - (2s+1) c B + (2c + nu) J, with J
+the Jacobi matrix (of r), B the matrix of 1/r and D_kl = <p_k', p_l'>; once
+more by parts, <p_k', p_m> = 2 J_km - (2s+1) B_km for m < k and 0 otherwise,
+so D = C C^T. The p_k recurrence comes from Lanczos iteration with full
+reorthogonalization on a Gauss-Legendre rule (discretized Stieltjes;
+Gautschi, *Orthogonal Polynomials*, 2004). A leading block of A is the
+Galerkin matrix of a smaller basis, so by Cauchy interlacing its Ritz values
+lie above those of A: their gap is the convergence check and error estimate.
 
-    F''(r) + F'(r)/r - (l^2/r^2) F - r^2 F - nu r F = -W F
-
-as a self-adjoint eigenproblem under the planar radial measure
-int |F|^2 r dr. The substitution u = sqrt(r) F removes the first-derivative
-term (Liouville normal form) and makes a symmetric tridiagonal
-discretization natural. The grid is cell-centered, r_i = (i - 1/2) h, with
-a zero-flux face at r = 0: the node-centered stencil stalls at l = 0,
-where u ~ sqrt(r) puts the effective potential -1/(4 r^2) exactly on the
-limit-circle borderline, while the flux form never references r = 0 and
-stays cleanly second order for every l. Eigenvalues are Richardson
-extrapolated over doubled grids and the extrapolation is itself checked by
-one more doubling.
-
-For every coupling nu there is a full ladder of eigenvalues W_{j,l}(nu),
-each strictly increasing in nu (the derivative equals <r> > 0). The
-isolated truncation energies of :mod:`radspec.frobenius` are single points
-on these curves, not a discrete spectrum of their own.
+Each branch W_{j,l}(nu) is continuous and strictly increasing in nu
+(dW/dnu = <r> > 0); the isolated truncation energies of
+:mod:`radspec.frobenius` are single points on these curves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+import math
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from numpy.polynomial.legendre import leggauss
 
 from .frobenius import ReducedProblem
 
@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 TAIL_RATIO = 1e-12    # required |F(r_max)| / max|F| for the ground state
+BASIS_SIZE = 60       # polynomials in the Galerkin basis
+CHECK_SIZE = BASIS_SIZE - 8   # leading block whose Ritz values check convergence
+QUAD_NODES = 240      # Gauss-Legendre nodes discretizing the weight
+GRAM_TOL = 1e-10      # allowed max |<F_k, F_l> - delta_kl| on the quadrature
 
 
 class SolverError(RuntimeError):
@@ -54,7 +58,7 @@ class SolverError(RuntimeError):
 
 
 class NotConverged(SolverError):
-    """Grid doubling still moves the extrapolated eigenvalue beyond tolerance."""
+    """The basis does not resolve the requested levels to tolerance."""
 
 
 class DomainTooSmall(SolverError):
@@ -69,11 +73,10 @@ class MonotonicityViolation(SolverError):
 class SolverConfig:
     """Eigensolver settings.
 
-    ``r_max=None`` chooses the domain from the coupling at solve time:
-    max(12, |nu|/2 + 12), which keeps the Gaussian-times-shifted tail of
-    every computed state far below the cutoff. ``grid_points`` is the base
-    resolution; it is doubled once for Richardson extrapolation and once
-    more to check convergence.
+    Eigenvalues come from the Galerkin matrix alone; a level is accepted when
+    its Ritz shift is below ``convergence_tol * max(1, |W|)``. ``r_max`` and
+    ``grid_points`` set the cell-centred grid that eigenfunctions are sampled
+    on; ``r_max=None`` means max(12, |nu|/2 + 12) at solve time.
     """
 
     r_max: float | None = None
@@ -97,25 +100,97 @@ class SolverConfig:
         return max(12.0, abs(nu) / 2 + 12.0)
 
 
+class _Basis(NamedTuple):
+    """F_k(r) = r^s exp(-(r-c)^2/2) p_k(r) with the p_k given by their recurrence
+    r p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1}, p_0 = 1 / beta[0]."""
+
+    s: int
+    c: float
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    def values(self, r: np.ndarray) -> np.ndarray:
+        """F_k(r), one row per k."""
+        a, b = self.alpha, self.beta
+        F = np.empty((BASIS_SIZE, len(r)))
+        F[0] = np.exp(self.s * np.log(r) - (r - self.c) ** 2 / 2) / b[0]
+        F[1] = (r - a[0]) * F[0] / b[1]
+        for k in range(1, BASIS_SIZE - 1):
+            F[k + 1] = ((r - a[k]) * F[k] - b[k] * F[k - 1]) / b[k + 1]
+        return F
+
+
+def _shift(nu: float) -> float:
+    if not math.isfinite(nu):
+        raise ValueError(f"nu={nu} must be finite")
+    return max(0, math.floor(-nu)) / 2
+
+
+_gauss_legendre = lru_cache(maxsize=1)(leggauss)
+
+
+@lru_cache(maxsize=128)
+def _galerkin(s: int, c: float) -> tuple[_Basis, np.ndarray, np.ndarray, float]:
+    """The basis of (s, c), its Galerkin matrix at nu = 0, J, and the largest
+    |<F_k, F_l> - delta_kl| of the recurrence's F_k on the quadrature."""
+    t, wt = _gauss_legendre(QUAD_NODES)
+    # outside [c - 13, c + sqrt(2s+1) + 13] the weight is below e^-169 of its peak
+    lo, hi = max(0.0, c - 13.0), c + math.sqrt(2 * s + 1) + 13.0
+    x, wq = lo + (t + 1) * (hi - lo) / 2, wt * (hi - lo) / 2
+    beta, Q = np.empty(BASIS_SIZE), np.empty((QUAD_NODES, BASIS_SIZE))
+    with np.errstate(all="ignore"):
+        # Lanczos on diag(x); Gram-Schmidt twice against all earlier vectors
+        q = np.sqrt(wq * np.exp((2 * s + 1) * np.log(x) - (x - c) ** 2))
+        beta[0] = np.linalg.norm(q)
+        Q[:, 0] = q / beta[0]
+        for k in range(BASIS_SIZE - 1):
+            v = x * Q[:, k]
+            for _ in range(2):
+                v -= Q[:, :k + 1] @ (Q[:, :k + 1].T @ v)
+            beta[k + 1] = np.linalg.norm(v)
+            Q[:, k + 1] = v / beta[k + 1]
+        alpha = np.einsum("ik,i,ik->k", Q, x, Q)
+        basis = _Basis(s, c, alpha, beta)
+        F = basis.values(x)
+        B = (F * wq) @ F.T
+        J = np.diag(alpha) + np.diag(beta[1:], 1) + np.diag(beta[1:], -1)
+        C = 2 * np.diag(beta[1:], -1) - (2 * s + 1) * np.tril(B, -1)
+        A0 = C @ C.T + (2 * s + 2 - c * c) * np.eye(BASIS_SIZE) - (2 * s + 1) * c * B + 2 * c * J
+        defect = np.max(np.abs((F * (wq * x)) @ F.T - np.eye(BASIS_SIZE)))
+    return basis, A0, J, float(defect)
+
+
 @dataclass(frozen=True, eq=False)
 class EigenState:
-    """One normalized eigenstate on the solver grid.
+    """One eigenstate: eigenvalue ``W`` and its Ritz shift ``error_estimate``.
 
-    ``W`` is the Richardson-extrapolated eigenvalue; ``F`` is sampled on
-    the cell-centered grid ``r`` and normalized so that the midpoint sum
-    for int |F|^2 r dr equals 1 exactly.
+    ``r`` (the sampling grid) and ``F`` (sampled there, with midpoint sum of
+    |F|^2 r dr exactly 1, positive at its largest magnitude) are lazy.
     """
 
     l: int
     nu: float
     j: int
     W: float
-    r: np.ndarray
-    F: np.ndarray
+    error_estimate: float
+    _basis: _Basis = field(repr=False)
+    _coeffs: np.ndarray = field(repr=False)
+    _r_max: float = field(repr=False)
+    _cells: int = field(repr=False)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return (np.arange(1, self._cells + 1) - 0.5) * self.step
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        F = self._coeffs @ self._basis.values(self.r)
+        F = F / np.sqrt(np.sum(F * F * self.r) * self.step)
+        return -F if F[np.argmax(np.abs(F))] < 0 else F
 
     @property
     def step(self) -> float:
-        return float(self.r[1] - self.r[0])
+        return self._r_max / self._cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,75 +217,51 @@ class HftCheck:
     discrepancy: float
 
 
-def _tridiagonal(l: int, nu: float, r_max: float, n_cells: int):
-    # flux-form discretization of -(1/r)(r F')' + V on r_i = (i - 1/2) h,
-    # symmetrized by u = sqrt(r) F; the r=0 face carries zero flux
-    h = r_max / n_cells
-    r = (np.arange(1, n_cells + 1) - 0.5) * h
-    V = r * r + nu * r + (l * l) / (r * r)
-    faces = np.arange(1, n_cells) * h
-    diag = np.concatenate(([faces[0]], faces[:-1] + faces[1:], [faces[-1] + r_max]))
-    diag = diag / (h * h * r) + V
-    off = -faces / (h * h * np.sqrt(r[:-1] * r[1:]))
-    return diag, off, r, h
-
-def _grid_eigvals(l, nu, r_max, n_cells, k):
-    diag, off, _, _ = _tridiagonal(l, nu, r_max, n_cells)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                            eigvals_only=True)
-
-
 def solve_spectrum(problem: ReducedProblem, config: SolverConfig | None = None
                    ) -> list[EigenState]:
     """Lowest ``config.levels`` eigenstates at the given (l, nu).
 
-    Eigenvalues are Richardson extrapolated from grids of N and 2N cells
-    and accepted only if one further doubling moves the extrapolation by
-    less than ``convergence_tol`` (else :class:`NotConverged`).
-    Eigenfunctions come from the finest grid. The ground-state tail at
-    r_max must be below 1e-12 of its peak (else :class:`DomainTooSmall`).
+    Raises :class:`NotConverged` if a Ritz shift reaches the tolerance, the
+    basis is off orthonormal by GRAM_TOL or anything is non-finite, and
+    :class:`DomainTooSmall` if the sampled ground state's tail at r_max is
+    not below TAIL_RATIO of its peak.
     """
-    config = config or SolverConfig()
-    l, nu = problem.l, problem.nu
+    return _solve(problem, config or SolverConfig(), _shift(problem.nu))
+
+
+def _solve(problem: ReducedProblem, config: SolverConfig, c: float) -> list[EigenState]:
+    l, nu, k = problem.l, problem.nu, config.levels
+    at = f"l={l}, nu={nu:g}, shift c={c:g}"
+    basis, A0, J, defect = _galerkin(abs(l), c)
+    if k > CHECK_SIZE or not defect <= GRAM_TOL:
+        raise NotConverged(f"basis cannot resolve {k} levels at {at} "
+                           f"(Gram defect {defect:.1e})")
+    A = A0 + nu * J
+    try:
+        W, V = np.linalg.eigh(A)
+        coarse = np.linalg.eigvalsh(A[:CHECK_SIZE, :CHECK_SIZE])[:k]
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged(f"Galerkin eigensolve failed at {at}: {exc}") from exc
+    W, V = W[:k], V[:, :k]
+    shift = np.abs(coarse - W)     # one-signed by interlacing, up to round-off
+    tol = config.convergence_tol * np.maximum(1.0, np.abs(W))
+    if not (np.all(shift < tol) and np.all(np.isfinite(V))):
+        raise NotConverged(f"Ritz shifts {shift} at {at} are not all below {tol}")
     r_max = config.domain(nu)
-    n = config.grid_points
-    k = config.levels
-
-    w1 = _grid_eigvals(l, nu, r_max, n, k)
-    w2 = _grid_eigvals(l, nu, r_max, 2 * n, k)
-    diag, off, r, h = _tridiagonal(l, nu, r_max, 4 * n)
-    w4, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-
-    F_ground = np.abs(vec[:, 0]) / np.sqrt(r)
-    tail = F_ground[-1] / F_ground.max()
-    if tail >= TAIL_RATIO:
+    states = [EigenState(l, nu, j, float(W[j]), float(shift[j]), basis, V[:, j],
+                         r_max, config.grid_points) for j in range(k)]
+    F = np.abs(states[0].F)
+    if not F[-1] < TAIL_RATIO * F.max():
         raise DomainTooSmall(
-            f"ground-state tail at r_max={r_max:g} is {tail:.2e} of peak "
+            f"ground-state tail at r_max={r_max:g} is {F[-1] / F.max():.2e} of peak "
             f"(require < {TAIL_RATIO:g}); increase r_max")
-
-    rich_a = (4 * w2 - w1) / 3
-    rich_b = (4 * w4 - w2) / 3
-    shift = np.max(np.abs(rich_b - rich_a))
-    if shift >= config.convergence_tol:
-        raise NotConverged(
-            f"doubling {2 * n} -> {4 * n} cells still moves W by {shift:.2e} "
-            f"(tol {config.convergence_tol:g}); raise grid_points")
-
-    states = []
-    for j in range(k):
-        u = vec[:, j]
-        u = u / np.sqrt(np.sum(u * u) * h)
-        if u[np.argmax(np.abs(u))] < 0:
-            u = -u
-        states.append(EigenState(l=l, nu=nu, j=j, W=float(rich_b[j]),
-                                 r=r, F=u / np.sqrt(r)))
     if any(b.W <= a.W for a, b in zip(states, states[1:])):
-        raise SolverError(f"eigenvalues not strictly ordered at l={l}, nu={nu}")
+        raise SolverError(f"eigenvalues not strictly ordered at {at}")
     return states
 
 
 def expectation_r(state: EigenState) -> float:
-    """<r> = int r |F|^2 r dr by the midpoint rule on the solver grid."""
+    """<r> = int r |F|^2 r dr by the midpoint rule on the sampling grid."""
     val = float(np.sum(state.r ** 2 * state.F ** 2) * state.step)
     if val <= 0:
         raise SolverError("nonpositive <r>; eigenfunction is invalid")
@@ -222,7 +273,8 @@ def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4,
     """Check dW_j/dnu = <r> at the given problem point.
 
     The slope is the central difference over nu +- delta; the expectation
-    value comes from the eigenstate at nu itself. For a correct solver the
+    value is the midpoint rule over the eigenfunction sampled at nu itself,
+    so the two sides are computed independently. For a correct solver the
     discrepancy stays below max(1e-4, 10 * convergence_tol / delta).
     """
     if delta <= 0:
@@ -230,12 +282,11 @@ def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4,
     config = config or SolverConfig()
     if config.levels < j + 1:
         config = replace(config, levels=j + 1)
-    # one domain for all three solves; the slope must not see r_max jumps
-    if config.r_max is None:
-        config = replace(config, r_max=SolverConfig().domain(abs(problem.nu) + delta))
-    lo = solve_spectrum(ReducedProblem(problem.l, problem.nu - delta), config)
-    hi = solve_spectrum(ReducedProblem(problem.l, problem.nu + delta), config)
-    mid = solve_spectrum(problem, config)
+    # one basis for all three solves; the slope must not see a shift jump
+    c = _shift(problem.nu)
+    lo = _solve(ReducedProblem(problem.l, problem.nu - delta), config, c)
+    hi = _solve(ReducedProblem(problem.l, problem.nu + delta), config, c)
+    mid = _solve(problem, config, c)
     slope = (hi[j].W - lo[j].W) / (2 * delta)
     rexp = expectation_r(mid[j])
     return HftCheck(dW_dnu=slope, r_expectation=rexp,

@@ -143,6 +143,15 @@ def test_verify_hft_single_nu_checks_every_l(runner):
     assert "hft l=2 nu=1 j=0" in res.output
 
 
+def test_verify_hft_branch_limits_the_sweep(runner):
+    res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--branch", "2"])
+    assert res.exit_code == 0
+    names = [line.split()[1:5] for line in res.output.splitlines()
+             if line.startswith(("PASS", "FAIL"))]
+    assert names == [["hft", "l=0", f"nu={nu}", "j=2"] for nu in ("0", "2.5", "5")]
+    assert runner.invoke(main, ["verify", "--hft", "--branch", "-1"]).exit_code == 2
+
+
 def test_verify_hft_ground_state(runner):
     res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--nu", "0",
                                "--branch", "0"])

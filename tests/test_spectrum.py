@@ -1,15 +1,19 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from radspec import spectrum
 from radspec.frobenius import ReducedProblem, polynomial_solution
 from radspec.spectrum import (
     DomainTooSmall,
     MonotonicityViolation,
     NotConverged,
     SolverConfig,
+    SolverError,
     curve_scan,
     expectation_r,
     hft_check,
@@ -17,6 +21,16 @@ from radspec.spectrum import (
 )
 
 ROOT_83 = math.sqrt(8.0 / 3.0)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def _reference(name):
+    with (REFERENCE / name).open() as fh:
+        return json.load(fh)
+
+
+def _within_tolerance(st, cfg):
+    return st.error_estimate <= cfg.convergence_tol * max(1.0, abs(st.W))
 
 
 # --- config validation -------------------------------------------------------
@@ -79,19 +93,70 @@ def test_domain_too_small_is_rejected():
 
 
 def test_unreachable_tolerance_raises():
-    cfg = SolverConfig(grid_points=100, levels=1, convergence_tol=1e-14)
-    with pytest.raises(NotConverged):
-        solve_spectrum(ReducedProblem(0, 0.0), cfg)
+    # Ritz shifts of 3.5e-3 at |W| ~ 940 and 2.7e-6 at |W| ~ 520: truncation
+    # error of the basis, far above its round-off of about 1e-12
+    for l, nu, tol in ((50, 200.0, 1e-8), (0, 1000.0, 1e-9)):
+        with pytest.raises(NotConverged):
+            solve_spectrum(ReducedProblem(l, nu), SolverConfig(convergence_tol=tol))
 
 
-def test_convergence_order_at_least_two():
-    """Extrapolated eigenvalues against the exact oscillator value."""
-    errs = []
-    for n in (125, 250, 500):
-        cfg = SolverConfig(grid_points=n, levels=1, convergence_tol=1.0)
-        errs.append(abs(solve_spectrum(ReducedProblem(0, 0.0), cfg)[0].W - 2.0))
-    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-    assert min(orders) >= 2.0
+def test_ritz_values_do_not_increase_with_basis_size():
+    """Leading blocks of the Galerkin matrix are the smaller bases' matrices."""
+    for l, nu in ((0, 0.0), (1, 3.0), (2, -7.3)):
+        _, A0, J, _ = spectrum._galerkin(abs(l), spectrum._shift(nu))
+        A = A0 + nu * J
+        ritz = [np.linalg.eigvalsh(A[:k, :k])[:3]
+                for k in range(4, spectrum.BASIS_SIZE + 1, 4)]
+        for coarse, fine in zip(ritz, ritz[1:]):
+            assert np.all(fine <= coarse + 1e-12 * np.maximum(1.0, np.abs(coarse)))
+        if nu == 0.0:
+            # p_0 alone is the exact ground state e^{-r^2/2}
+            assert max(abs(w[0] - 2.0) for w in ritz) <= 1e-12
+
+
+def test_error_estimate_within_tolerance_on_returned_states():
+    cfg = SolverConfig(levels=4)
+    for l, nu in ((0, 0.0), (1, -11.3), (2, 6.0), (0, 50.0)):
+        for st in solve_spectrum(ReducedProblem(l, nu), cfg):
+            assert 0.0 <= st.error_estimate and _within_tolerance(st, cfg)
+
+
+# --- benchmark references (read only) ----------------------------------------
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_scan_lattice_matches_reference(s):
+    """Every nu = k/20, |k| <= 242, of the committed curve_scan table to 1e-7."""
+    table = _reference("scan.json")["W"][str(s)]
+    keys = sorted(int(k) for k in table)
+    curves = curve_scan(s, 3, [k / 20 for k in keys], keep_eigenfunctions=True)
+    got = np.array([c.W for c in curves]).T
+    want = np.array([table[str(k)] for k in keys])
+    assert np.max(np.abs(got - want)) <= 1e-7
+    cfg = SolverConfig()
+    assert all(_within_tolerance(st, cfg) for c in curves for st in c.states)
+
+
+@pytest.mark.parametrize("probe", _reference("envelope.json")["probes"],
+                         ids=lambda p: f"s{p['s']}-nu{p['nu']:g}")
+def test_envelope_probe_matches_reference(probe):
+    problem = ReducedProblem(probe["s"], probe["nu"])
+    try:
+        Ws = [st.W for st in solve_spectrum(problem)]
+    except DomainTooSmall:
+        # the default r_max = 12 cuts the tail of the s = 60 ground state
+        assert probe["s"] == 60
+        Ws = [st.W for st in solve_spectrum(problem, SolverConfig(r_max=20.0))]
+    assert np.max(np.abs(np.array(Ws) - probe["W"])) <= probe["tol"]
+
+
+@pytest.mark.parametrize("nu", [-1000.0, -200.0, 200.0, 1000.0])
+def test_far_couplings_solve_within_tolerance_or_raise(nu):
+    cfg = SolverConfig()
+    try:
+        states = solve_spectrum(ReducedProblem(0, nu), cfg)
+    except SolverError:
+        return
+    assert all(_within_tolerance(st, cfg) for st in states)
 
 
 # --- expectation value -------------------------------------------------------
