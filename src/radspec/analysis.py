@@ -184,11 +184,8 @@ def truncation_point_set(n_max: int, i_max: int, l: int) -> list[TruncationSolut
     """All truncation solutions with n <= n_max and i <= min(n+1, i_max)."""
     if n_max < 0 or i_max < 1:
         raise ValueError(f"need n_max >= 0 and i_max >= 1, got ({n_max}, {i_max})")
-    return [
-        polynomial_solution(n, i, l)
-        for n in range(n_max + 1)
-        for i in range(1, min(n + 1, i_max) + 1)
-    ]
+    return [polynomial_solution(n, i, l)
+            for n in range(n_max + 1) for i in range(1, min(n + 1, i_max) + 1)]
 
 
 def match_truncation_to_curves(points: Sequence[TruncationSolution],
@@ -218,12 +215,8 @@ def match_truncation_to_curves(points: Sequence[TruncationSolution],
 
 def branch_fit_points(l: int, j: int, n_max: int = 22) -> list[tuple[float, float]]:
     """Truncation points feeding the branch-j fit: i = j+1, nu >= 0."""
-    pts = [
-        (pt.nu_root, pt.W)
-        for pt in truncation_point_set(n_max, j + 1, l)
-        if pt.i == j + 1 and pt.nu_root >= 0
-    ]
-    return sorted(pts)
+    return sorted((pt.nu_root, pt.W) for pt in truncation_point_set(n_max, j + 1, l)
+                  if pt.i == j + 1 and pt.nu_root >= 0)
 
 
 def fit_cubic(points: Sequence[tuple[float, float]], fixed_intercept: float,

@@ -62,7 +62,18 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, out: str) -> None:
             f.write("\n")
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a domain failure from the modules as ``error: ...`` and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _MODULE_ERRORS as exc:
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            raise click.exceptions.Exit(1)
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None,
               help="JSON file of per-subcommand flag defaults; explicit flags override.")
@@ -83,10 +94,7 @@ def main(ctx, config_path):
 @click.option("--out", type=click.Path(allow_dash=True), default="-", show_default=True)
 def truncate(l, n_max, i_max, fmt, out):
     """Emit truncation points (l, n, i, nu, W), roots in decreasing order."""
-    try:
-        points = truncation_point_set(n_max, i_max, l)
-    except _MODULE_ERRORS as exc:
-        raise click.exceptions.Exit(_fail(exc))
+    points = truncation_point_set(n_max, i_max, l)
     rows = [[pt.l, pt.n, pt.i, pt.nu_root, pt.W] for pt in points]
     _emit_rows(["l", "n", "i", "nu", "W"], rows, fmt, out)
 
@@ -114,18 +122,10 @@ def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, grid_points, r_ma
         grid = list(np.linspace(nu_min, nu_max, nu_count))
     else:
         raise click.UsageError("give --nu values or --nu-min/--nu-max/--nu-count")
-    try:
-        config = SolverConfig(r_max=r_max, grid_points=grid_points, levels=branches)
-        curves = curve_scan(l, branches, grid, config)
-    except _MODULE_ERRORS as exc:
-        raise click.exceptions.Exit(_fail(exc))
+    config = SolverConfig(r_max=r_max, grid_points=grid_points, levels=branches)
+    curves = curve_scan(l, branches, grid, config)
     rows = [[c.l, c.j, nu, W] for c in curves for nu, W in c.samples]
     _emit_rows(["l", "j", "nu", "W"], rows, fmt, out)
-
-
-def _fail(exc) -> int:
-    click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-    return 1
 
 
 # --- verification suites ---------------------------------------------------
@@ -134,23 +134,17 @@ def _verify_roots(ls, n_max):
     checks = []
     for l in ls:
         worst = 0.0
-        ok = True
-        detail = ""
         for n in range(n_max + 1):
-            iso = root_isolation(n, l)
-            zeros = [r for r in iso.roots if r == 0.0]
-            if bool(zeros) != ((n + 1) % 2 == 1):
-                ok, detail = False, f"n={n}: zero-root parity violated"
+            roots = root_isolation(n, l).roots
+            if (0.0 in roots) != (n % 2 == 0):
+                checks.append((f"roots l={l}", False, f"n={n}: zero-root parity violated"))
                 break
-            for idx, r in enumerate(iso.roots):
-                mirror = iso.roots[len(iso.roots) - 1 - idx]
-                worst = max(worst, abs(r + mirror))
-                sol = polynomial_solution(n, idx + 1, l)
-                worst = max(worst, abs(sol.W + r * r / 4 - 2 * (n + abs(l) + 1)))
-        if ok:
-            detail = f"n<={n_max}; worst symmetry/parabola defect {worst:.2e}"
-            ok = worst <= 1e-10
-        checks.append((f"roots l={l}", ok, detail))
+            for i, (r, mirror) in enumerate(zip(roots, reversed(roots)), start=1):
+                W = polynomial_solution(n, i, l).W
+                worst = max(worst, abs(r + mirror), abs(W + r * r / 4 - 2 * (n + abs(l) + 1)))
+        else:
+            checks.append((f"roots l={l}", worst <= 1e-10,
+                           f"n<={n_max}; worst symmetry/parabola defect {worst:.2e}"))
     return checks
 
 
@@ -179,10 +173,8 @@ def _verify_hft(ls, tol, nu_single=None, branch=None):
     cfg = SolverConfig()
     bound = max(tol, 10 * cfg.convergence_tol / 1e-4)
     nus = (0.0, 2.5, 5.0) if nu_single is None else (nu_single,)
-    if branch is not None:
-        js = (branch,)
-    else:
-        js = (0, 1, 2) if nu_single is None else (0,)
+    js = (0, 1, 2) if nu_single is None else (0,)
+    js = js if branch is None else (branch,)
     for l, nu, j in ((l, nu, j) for l in ls for nu in nus for j in js):
         res = hft_check(ReducedProblem(l, nu), j, config=cfg)
         ok = res.discrepancy <= bound and res.dW_dnu > 0
@@ -238,17 +230,14 @@ def verify(ctx, do_hft, do_match, do_residual, do_all, ls, n_max, i_max,
         raise click.UsageError("--i needs --n")
     ls = list(ls) if ls else [0, 1, 2]
     checks = []
-    try:
-        if do_all:
-            checks += _verify_roots(ls, n_max)
-        if do_residual or do_all:
-            checks += _verify_residual(ls, n_max, residual_tol, n_single, i_single)
-        if do_hft or do_all:
-            checks += _verify_hft(ls, hft_tol, nu_single, branch)
-        if do_match or do_all:
-            checks += _verify_match(ls, n_max, i_max, match_tol)
-    except _MODULE_ERRORS as exc:
-        raise click.exceptions.Exit(_fail(exc))
+    if do_all:
+        checks += _verify_roots(ls, n_max)
+    if do_residual or do_all:
+        checks += _verify_residual(ls, n_max, residual_tol, n_single, i_single)
+    if do_hft or do_all:
+        checks += _verify_hft(ls, hft_tol, nu_single, branch)
+    if do_match or do_all:
+        checks += _verify_match(ls, n_max, i_max, match_tol)
     for name, ok, detail in checks:
         click.echo(f"{'PASS' if ok else 'FAIL'}  {name:<24} {detail}")
     all_ok = all(ok for _, ok, _ in checks)
@@ -313,14 +302,11 @@ def figure(ctx, out_dir, curve_samples):
     """Emit the l=0 dataset: points.csv, curves.csv, parabola.csv, plot script."""
     import os
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        points = [pt for pt in truncation_point_set(22, 3, 0) if pt.nu_root >= 0]
-        nu_top = truncation_roots(22, 0)[0]
-        grid = sorted(set(np.linspace(0.0, nu_top, curve_samples))
-                      | {pt.nu_root for pt in points})
-        curves = curve_scan(0, 3, grid)
-    except _MODULE_ERRORS as exc:
-        raise click.exceptions.Exit(_fail(exc))
+    points = [pt for pt in truncation_point_set(22, 3, 0) if pt.nu_root >= 0]
+    nu_top = truncation_roots(22, 0)[0]
+    grid = sorted(set(np.linspace(0.0, nu_top, curve_samples))
+                  | {pt.nu_root for pt in points})
+    curves = curve_scan(0, 3, grid)
     _emit_rows(["l", "n", "i", "nu", "W"],
                [[pt.l, pt.n, pt.i, pt.nu_root, pt.W] for pt in points],
                "csv", os.path.join(out_dir, "points.csv"))
@@ -346,11 +332,8 @@ def figure(ctx, out_dir, curve_samples):
 def fit(ctx, l, branch, n_max, out):
     """Constrained cubic through one branch's truncation points."""
     intercept = float(2 * (2 * branch + abs(l) + 1))
-    try:
-        pts = branch_fit_points(l, branch, n_max)
-        model = fit_cubic(pts, intercept, branch=branch, l=l)
-    except _MODULE_ERRORS as exc:
-        raise click.exceptions.Exit(_fail(exc))
+    pts = branch_fit_points(l, branch, n_max)
+    model = fit_cubic(pts, intercept, branch=branch, l=l)
     b1, b2, b3 = model.coefficients
     click.echo(f"branch j={branch}, l={l}: {len(pts)} points, "
                f"nu in [{model.fit_domain[0]:.6f}, {model.fit_domain[1]:.6f}]")
@@ -389,32 +372,29 @@ def fit(ctx, l, branch, n_max, out):
 def energy(m, a, theta, varpi, l, branch, w_values, theta_min, theta_max,
            theta_steps, fmt, out):
     """Physical energies from reduced eigenvalues; sweep theta to see continuity."""
-    try:
-        if w_values:
-            if theta is None:
-                raise click.UsageError("--W needs --theta")
-            p = PhysicalParams(m=m, a=a, theta=theta, varpi=varpi, l=l)
-            rows = [[W, map_W_to_E(W, p)] for W in w_values]
-            _emit_rows(["W", "E"], rows, fmt, out)
-            return
-        if theta_min is not None and theta_max is not None and theta_steps is not None:
-            thetas = np.linspace(theta_min, theta_max, theta_steps)
-        elif theta is not None:
-            thetas = [theta]
-        else:
-            raise click.UsageError(
-                "give --W and --theta, a single --theta, or a sweep "
-                "--theta-min/--theta-max/--theta-steps")
-        config = SolverConfig(levels=branch + 1)
-        rows = []
-        for th in thetas:
-            p = PhysicalParams(m=m, a=a, theta=float(th), varpi=varpi, l=l)
-            nu = map_physical_to_nu(p)
-            W = solve_spectrum(ReducedProblem(l, nu), config)[branch].W
-            rows.append([float(th), map_W_to_E(W, p)])
-        _emit_rows(["theta", "E"], rows, fmt, out)
-    except _MODULE_ERRORS as exc:
-        raise click.exceptions.Exit(_fail(exc))
+    if w_values:
+        if theta is None:
+            raise click.UsageError("--W needs --theta")
+        p = PhysicalParams(m=m, a=a, theta=theta, varpi=varpi, l=l)
+        rows = [[W, map_W_to_E(W, p)] for W in w_values]
+        _emit_rows(["W", "E"], rows, fmt, out)
+        return
+    if theta_min is not None and theta_max is not None and theta_steps is not None:
+        thetas = np.linspace(theta_min, theta_max, theta_steps)
+    elif theta is not None:
+        thetas = [theta]
+    else:
+        raise click.UsageError(
+            "give --W and --theta, a single --theta, or a sweep "
+            "--theta-min/--theta-max/--theta-steps")
+    config = SolverConfig(levels=branch + 1)
+    rows = []
+    for th in thetas:
+        p = PhysicalParams(m=m, a=a, theta=float(th), varpi=varpi, l=l)
+        nu = map_physical_to_nu(p)
+        W = solve_spectrum(ReducedProblem(l, nu), config)[branch].W
+        rows.append([float(th), map_W_to_E(W, p)])
+    _emit_rows(["theta", "E"], rows, fmt, out)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ Each branch W_{j,l}(nu) is continuous and strictly increasing in nu
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,17 +32,8 @@ from numpy.polynomial.legendre import leggauss
 from .frobenius import ReducedProblem
 
 __all__ = [
-    "SolverConfig",
-    "EigenState",
-    "SpectralCurve",
-    "HftCheck",
-    "SolverError",
-    "NotConverged",
-    "DomainTooSmall",
-    "MonotonicityViolation",
-    "solve_spectrum",
-    "expectation_r",
-    "hft_check",
+    "SolverConfig", "EigenState", "SpectralCurve", "HftCheck", "SolverError", "NotConverged",
+    "DomainTooSmall", "MonotonicityViolation", "solve_spectrum", "expectation_r", "hft_check",
     "curve_scan",
 ]
 
@@ -100,24 +91,16 @@ class SolverConfig:
         return max(12.0, abs(nu) / 2 + 12.0)
 
 
-class _Basis(NamedTuple):
-    """F_k(r) = r^s exp(-(r-c)^2/2) p_k(r) with the p_k given by their recurrence
+def _basis_values(s: int, c: float, alpha: np.ndarray, beta: np.ndarray,
+                  r: np.ndarray) -> np.ndarray:
+    """F_k(r) = r^s exp(-(r-c)^2/2) p_k(r), one row per k, with the p_k given by
     r p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1}, p_0 = 1 / beta[0]."""
-
-    s: int
-    c: float
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def values(self, r: np.ndarray) -> np.ndarray:
-        """F_k(r), one row per k."""
-        a, b = self.alpha, self.beta
-        F = np.empty((BASIS_SIZE, len(r)))
-        F[0] = np.exp(self.s * np.log(r) - (r - self.c) ** 2 / 2) / b[0]
-        F[1] = (r - a[0]) * F[0] / b[1]
-        for k in range(1, BASIS_SIZE - 1):
-            F[k + 1] = ((r - a[k]) * F[k] - b[k] * F[k - 1]) / b[k + 1]
-        return F
+    F = np.empty((BASIS_SIZE, len(r)))
+    F[0] = np.exp(s * np.log(r) - (r - c) ** 2 / 2) / beta[0]
+    F[1] = (r - alpha[0]) * F[0] / beta[1]
+    for k in range(1, BASIS_SIZE - 1):
+        F[k + 1] = ((r - alpha[k]) * F[k] - beta[k] * F[k - 1]) / beta[k + 1]
+    return F
 
 
 def _shift(nu: float) -> float:
@@ -130,9 +113,9 @@ _gauss_legendre = lru_cache(maxsize=1)(leggauss)
 
 
 @lru_cache(maxsize=128)
-def _galerkin(s: int, c: float) -> tuple[_Basis, np.ndarray, np.ndarray, float]:
-    """The basis of (s, c), its Galerkin matrix at nu = 0, J, and the largest
-    |<F_k, F_l> - delta_kl| of the recurrence's F_k on the quadrature."""
+def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The recurrence (alpha, beta) of the (s, c) basis, its Galerkin matrix at
+    nu = 0, J, and the largest |<F_k, F_l> - delta_kl| on the quadrature."""
     t, wt = _gauss_legendre(QUAD_NODES)
     # outside [c - 13, c + sqrt(2s+1) + 13] the weight is below e^-169 of its peak
     lo, hi = max(0.0, c - 13.0), c + math.sqrt(2 * s + 1) + 13.0
@@ -150,22 +133,20 @@ def _galerkin(s: int, c: float) -> tuple[_Basis, np.ndarray, np.ndarray, float]:
             beta[k + 1] = np.linalg.norm(v)
             Q[:, k + 1] = v / beta[k + 1]
         alpha = np.einsum("ik,i,ik->k", Q, x, Q)
-        basis = _Basis(s, c, alpha, beta)
-        F = basis.values(x)
+        F = _basis_values(s, c, alpha, beta, x)
         B = (F * wq) @ F.T
         J = np.diag(alpha) + np.diag(beta[1:], 1) + np.diag(beta[1:], -1)
         C = 2 * np.diag(beta[1:], -1) - (2 * s + 1) * np.tril(B, -1)
         A0 = C @ C.T + (2 * s + 2 - c * c) * np.eye(BASIS_SIZE) - (2 * s + 1) * c * B + 2 * c * J
         defect = np.max(np.abs((F * (wq * x)) @ F.T - np.eye(BASIS_SIZE)))
-    return basis, A0, J, float(defect)
+    return alpha, beta, A0, J, float(defect)
 
 
 @dataclass(frozen=True, eq=False)
 class EigenState:
-    """One eigenstate: eigenvalue ``W`` and its Ritz shift ``error_estimate``.
-
-    ``r`` (the sampling grid) and ``F`` (sampled there, with midpoint sum of
-    |F|^2 r dr exactly 1, positive at its largest magnitude) are lazy.
+    """One eigenstate: eigenvalue ``W``, its Ritz shift ``error_estimate``, and
+    ``F`` sampled on the cell-centred grid ``r``, normalized so that the
+    midpoint sum for int |F|^2 r dr equals 1 and positive at its peak.
     """
 
     l: int
@@ -173,24 +154,12 @@ class EigenState:
     j: int
     W: float
     error_estimate: float
-    _basis: _Basis = field(repr=False)
-    _coeffs: np.ndarray = field(repr=False)
-    _r_max: float = field(repr=False)
-    _cells: int = field(repr=False)
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        return (np.arange(1, self._cells + 1) - 0.5) * self.step
-
-    @cached_property
-    def F(self) -> np.ndarray:
-        F = self._coeffs @ self._basis.values(self.r)
-        F = F / np.sqrt(np.sum(F * F * self.r) * self.step)
-        return -F if F[np.argmax(np.abs(F))] < 0 else F
+    r: np.ndarray
+    F: np.ndarray
 
     @property
     def step(self) -> float:
-        return self._r_max / self._cells
+        return float(self.r[1] - self.r[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +201,7 @@ def solve_spectrum(problem: ReducedProblem, config: SolverConfig | None = None
 def _solve(problem: ReducedProblem, config: SolverConfig, c: float) -> list[EigenState]:
     l, nu, k = problem.l, problem.nu, config.levels
     at = f"l={l}, nu={nu:g}, shift c={c:g}"
-    basis, A0, J, defect = _galerkin(abs(l), c)
+    alpha, beta, A0, J, defect = _galerkin(abs(l), c)
     if k > CHECK_SIZE or not defect <= GRAM_TOL:
         raise NotConverged(f"basis cannot resolve {k} levels at {at} "
                            f"(Gram defect {defect:.1e})")
@@ -247,14 +216,18 @@ def _solve(problem: ReducedProblem, config: SolverConfig, c: float) -> list[Eige
     tol = config.convergence_tol * np.maximum(1.0, np.abs(W))
     if not (np.all(shift < tol) and np.all(np.isfinite(V))):
         raise NotConverged(f"Ritz shifts {shift} at {at} are not all below {tol}")
-    r_max = config.domain(nu)
-    states = [EigenState(l, nu, j, float(W[j]), float(shift[j]), basis, V[:, j],
-                         r_max, config.grid_points) for j in range(k)]
-    F = np.abs(states[0].F)
-    if not F[-1] < TAIL_RATIO * F.max():
+    r_max, n = config.domain(nu), config.grid_points
+    h = r_max / n
+    r = (np.arange(1, n + 1) - 0.5) * h
+    F = V.T @ _basis_values(abs(l), c, alpha, beta, r)
+    ground = np.abs(F[0])
+    if not ground[-1] < TAIL_RATIO * ground.max():
         raise DomainTooSmall(
-            f"ground-state tail at r_max={r_max:g} is {F[-1] / F.max():.2e} of peak "
+            f"ground-state tail at r_max={r_max:g} is {ground[-1] / ground.max():.2e} of peak "
             f"(require < {TAIL_RATIO:g}); increase r_max")
+    F /= np.sqrt(F * F @ r * h)[:, None]
+    F *= np.sign(F[np.arange(k), np.argmax(np.abs(F), axis=1)])[:, None]
+    states = [EigenState(l, nu, j, float(W[j]), float(shift[j]), r, F[j]) for j in range(k)]
     if any(b.W <= a.W for a, b in zip(states, states[1:])):
         raise SolverError(f"eigenvalues not strictly ordered at {at}")
     return states

@@ -103,7 +103,7 @@ def test_unreachable_tolerance_raises():
 def test_ritz_values_do_not_increase_with_basis_size():
     """Leading blocks of the Galerkin matrix are the smaller bases' matrices."""
     for l, nu in ((0, 0.0), (1, 3.0), (2, -7.3)):
-        _, A0, J, _ = spectrum._galerkin(abs(l), spectrum._shift(nu))
+        _, _, A0, J, _ = spectrum._galerkin(abs(l), spectrum._shift(nu))
         A = A0 + nu * J
         ritz = [np.linalg.eigvalsh(A[:k, :k])[:3]
                 for k in range(4, spectrum.BASIS_SIZE + 1, 4)]
