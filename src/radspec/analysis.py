@@ -142,10 +142,6 @@ class MatchReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    @property
-    def failures(self) -> list[MatchResult]:
-        return [r for r in self.results if not r.passed]
-
 
 @dataclass(frozen=True)
 class FitComparison:

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import click
 import numpy as np
 
+from . import checks
 from .analysis import (
     DegenerateFit,
     InvalidAlpha,
@@ -30,20 +32,16 @@ from .analysis import (
     fit_cubic,
     map_physical_to_nu,
     map_W_to_E,
-    match_truncation_to_curves,
     truncation_point_set,
 )
 from .frobenius import (
     IndexOutOfRange,
     ReducedProblem,
     RootRefinementFailure,
-    ode_residual,
-    polynomial_solution,
-    root_isolation,
     truncation_energy,
     truncation_roots,
 )
-from .spectrum import SolverConfig, SolverError, curve_scan, hft_check, solve_spectrum
+from .spectrum import SolverConfig, SolverError, curve_scan, solve_spectrum
 
 _MODULE_ERRORS = (
     DegenerateFit, InvalidAlpha, InvalidMass, SolverError,
@@ -60,6 +58,11 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, out: str) -> None:
         else:
             f.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
             f.write("\n")
+
+
+def _json_number(x: float) -> float | None:
+    """JSON has no Infinity or NaN, so a non-finite value is written as null."""
+    return x if math.isfinite(x) else None
 
 
 class _Main(click.Group):
@@ -128,77 +131,6 @@ def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, grid_points, r_ma
     _emit_rows(["l", "j", "nu", "W"], rows, fmt, out)
 
 
-# --- verification suites ---------------------------------------------------
-
-def _verify_roots(ls, n_max):
-    checks = []
-    for l in ls:
-        worst = 0.0
-        for n in range(n_max + 1):
-            roots = root_isolation(n, l).roots
-            if (0.0 in roots) != (n % 2 == 0):
-                checks.append((f"roots l={l}", False, f"n={n}: zero-root parity violated"))
-                break
-            for i, (r, mirror) in enumerate(zip(roots, reversed(roots)), start=1):
-                W = polynomial_solution(n, i, l).W
-                worst = max(worst, abs(r + mirror), abs(W + r * r / 4 - 2 * (n + abs(l) + 1)))
-        else:
-            checks.append((f"roots l={l}", worst <= 1e-10,
-                           f"n<={n_max}; worst symmetry/parabola defect {worst:.2e}"))
-    return checks
-
-
-def _verify_residual(ls, n_max, tol, n_single=None, i_single=None):
-    radii = np.linspace(0.1, 10.0, 100)
-    checks = []
-    for l in ls:
-        if n_single is not None:
-            targets = [(n_single, 1 if i_single is None else i_single)]
-        else:
-            targets = [(n, i) for n in range(n_max + 1) for i in range(1, n + 2)]
-        worst, where = 0.0, None
-        for n, i in targets:
-            sol = polynomial_solution(n, i, l)
-            for r in radii:
-                res = abs(ode_residual(sol, float(r), relative=True))
-                if res > worst:
-                    worst, where = res, (n, i, float(r))
-        checks.append((f"residual l={l}", worst <= tol,
-                       f"max {worst:.2e} at (n,i,r)={where}, tol {tol:g}"))
-    return checks
-
-
-def _verify_hft(ls, tol, nu_single=None, branch=None):
-    checks = []
-    cfg = SolverConfig()
-    bound = max(tol, 10 * cfg.convergence_tol / 1e-4)
-    nus = (0.0, 2.5, 5.0) if nu_single is None else (nu_single,)
-    js = (0, 1, 2) if nu_single is None else (0,)
-    js = js if branch is None else (branch,)
-    for l, nu, j in ((l, nu, j) for l in ls for nu in nus for j in js):
-        res = hft_check(ReducedProblem(l, nu), j, config=cfg)
-        ok = res.discrepancy <= bound and res.dW_dnu > 0
-        checks.append((f"hft l={l} nu={nu:g} j={j}", ok,
-                       f"dW/dnu={res.dW_dnu:.7f} <r>={res.r_expectation:.7f} "
-                       f"diff={res.discrepancy:.2e}"))
-    return checks
-
-
-def _verify_match(ls, n_max, i_max, tol):
-    checks = []
-    for l in ls:
-        report = match_truncation_to_curves(truncation_point_set(n_max, i_max, l), tol)
-        if report.all_passed:
-            worst = max(r.distance for r in report.results)
-            detail = f"{len(report.results)} points on branch i-1, max |dW| {worst:.2e}"
-        else:
-            f0 = report.failures[0]
-            detail = (f"{len(report.failures)} failures, first at "
-                      f"(n={f0.n}, i={f0.i}, l={f0.l}, nu={f0.nu:.6f})")
-        checks.append((f"match l={l}", report.all_passed, detail))
-    return checks
-
-
 @main.command()
 @click.option("--hft", "do_hft", is_flag=True)
 @click.option("--match", "do_match", is_flag=True)
@@ -229,25 +161,36 @@ def verify(ctx, do_hft, do_match, do_residual, do_all, ls, n_max, i_max,
     if i_single is not None and n_single is None:
         raise click.UsageError("--i needs --n")
     ls = list(ls) if ls else [0, 1, 2]
-    checks = []
+    results = []
     if do_all:
-        checks += _verify_roots(ls, n_max)
+        results += [checks.parabola(l, n_max, 1e-10) for l in ls]
+        results += [checks.parity(l, n_max, 1e-12) for l in ls]
     if do_residual or do_all:
-        checks += _verify_residual(ls, n_max, residual_tol, n_single, i_single)
+        if n_single is not None:
+            targets = [(n_single, 1 if i_single is None else i_single)]
+        else:
+            targets = [(n, i) for n in range(n_max + 1) for i in range(1, n + 2)]
+        results += [checks.residual(l, targets, residual_tol) for l in ls]
     if do_hft or do_all:
-        checks += _verify_hft(ls, hft_tol, nu_single, branch)
+        nus = (0.0, 2.5, 5.0) if nu_single is None else (nu_single,)
+        js = (0, 1, 2) if nu_single is None else (0,)
+        js = js if branch is None else (branch,)
+        results += [checks.hft(l, nu, j, hft_tol) for l in ls for nu in nus for j in js]
     if do_match or do_all:
-        checks += _verify_match(ls, n_max, i_max, match_tol)
-    for name, ok, detail in checks:
-        click.echo(f"{'PASS' if ok else 'FAIL'}  {name:<24} {detail}")
-    all_ok = all(ok for _, ok, _ in checks)
+        results += [checks.match(l, n_max, i_max, match_tol) for l in ls]
+    for c in results:
+        click.echo(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<24} "
+                   f"{c.value:.2e} (tol {c.tol:.1e})  {c.detail}")
+    all_ok = all(c.passed for c in results)
     click.echo(f"{'all checks passed' if all_ok else 'FAILURES present'} "
-               f"({sum(ok for _, ok, _ in checks)}/{len(checks)})")
+               f"({sum(c.passed for c in results)}/{len(results)})")
     if out:
         with click.open_file(out, "w") as f:
             json.dump({"all_passed": all_ok,
-                       "checks": [{"name": n, "passed": p, "detail": d}
-                                  for n, p, d in checks]}, f, indent=2)
+                       "checks": [{"name": c.name, "passed": c.passed,
+                                   "value": _json_number(c.value),
+                                   "tol": _json_number(c.tol), "detail": c.detail}
+                                  for c in results]}, f, indent=2)
             f.write("\n")
     ctx.exit(0 if all_ok else 1)
 

