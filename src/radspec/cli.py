@@ -240,8 +240,7 @@ print(f"wrote {HERE / 'figure.png'}")
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @click.option("--curve-samples", type=int, default=241, show_default=True,
               help="Uniform curve grid size; truncation abscissae are added to it.")
-@click.pass_context
-def figure(ctx, out_dir, curve_samples):
+def figure(out_dir, curve_samples):
     """Emit the l=0 dataset: points.csv, curves.csv, parabola.csv, plot script."""
     import os
     os.makedirs(out_dir, exist_ok=True)
@@ -271,8 +270,7 @@ def figure(ctx, out_dir, curve_samples):
 @click.option("--n-max", type=int, default=22, show_default=True)
 @click.option("--out", type=click.Path(allow_dash=True), default=None,
               help="Also write the fit report as JSON.")
-@click.pass_context
-def fit(ctx, l, branch, n_max, out):
+def fit(l, branch, n_max, out):
     """Constrained cubic through one branch's truncation points."""
     intercept = float(2 * (2 * branch + abs(l) + 1))
     pts = branch_fit_points(l, branch, n_max)

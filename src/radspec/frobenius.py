@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from scipy.linalg import eigvalsh_tridiagonal
+import numpy as np
 
 __all__ = [
     "ReducedProblem",
@@ -249,7 +249,7 @@ def _jacobi_seeds(n: int, s: int, count: int) -> list[float]:
     # characteristic polynomial is c_{n+1}: float seeds in mu, increasing
     pairs = _truncated_pairs(n, s)[: n + 1]
     off = [math.sqrt(-b / (a * a_prev)) for (a_prev, _), (a, b) in zip(pairs, pairs[1:])]
-    eigenvalues = eigvalsh_tridiagonal([0.0] * (n + 1), off)
+    eigenvalues = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     return [float(lam) ** 2 for lam in eigenvalues[n + 1 - count:]]
 
 

@@ -284,10 +284,12 @@ def curve_scan(l: int, branches: int, nu_grid: Sequence[float],
     if config.levels < branches:
         config = replace(config, levels=branches)
 
-    per_nu = [solve_spectrum(ReducedProblem(l, nu), config) for nu in nu_grid]
+    solved = (solve_spectrum(ReducedProblem(l, nu), config) for nu in nu_grid)
+    # each state carries its sampled F, so keep the states only when asked for
+    per_nu = [([st.W for st in sts], sts if keep_eigenfunctions else None) for sts in solved]
     curves = []
     for j in range(branches):
-        W = [states[j].W for states in per_nu]
+        W = [Ws[j] for Ws, _ in per_nu]
         for (na, wa), (nb, wb) in zip(zip(nu_grid, W), zip(nu_grid[1:], W[1:])):
             if wb <= wa:
                 raise MonotonicityViolation(
@@ -295,5 +297,5 @@ def curve_scan(l: int, branches: int, nu_grid: Sequence[float],
                     f"to W={wb!r} at nu={nb!r}")
         curves.append(SpectralCurve(
             l=l, j=j, nu=tuple(nu_grid), W=tuple(W),
-            states=tuple(states[j] for states in per_nu) if keep_eigenfunctions else None))
+            states=tuple(sts[j] for _, sts in per_nu) if keep_eigenfunctions else None))
     return curves

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from radspec import spectrum
 from radspec.frobenius import ReducedProblem, polynomial_solution
@@ -167,9 +166,13 @@ def test_expectation_gaussian_ground_state():
 
 
 def test_expectation_first_excited_against_quadrature_oracle():
-    # closed-form state F ~ (1 - r^2) e^{-r^2/2}; oracle is adaptive quadrature
-    norm = quad(lambda r: (1 - r * r) ** 2 * math.exp(-r * r) * r, 0, 20)[0]
-    num = quad(lambda r: r * (1 - r * r) ** 2 * math.exp(-r * r) * r, 0, 20)[0]
+    # closed-form state F ~ (1 - r^2) e^{-r^2/2}; the oracle uses Gauss rules
+    # exact for both integrands: Laguerre in t = r^2 for the norm, and
+    # Hermite over the whole line for the even numerator, halved
+    t, wt = np.polynomial.laguerre.laggauss(2)
+    norm = 0.5 * np.sum(wt * (1 - t) ** 2)
+    x, wx = np.polynomial.hermite.hermgauss(4)
+    num = 0.5 * np.sum(wx * x * x * (1 - x * x) ** 2)
     oracle = num / norm
     assert oracle == pytest.approx(7 * math.sqrt(math.pi) / 8, rel=1e-12)
     st = solve_spectrum(ReducedProblem(0, 0.0), SolverConfig(levels=2))[1]
