@@ -32,6 +32,11 @@ class Check:
     def passed(self) -> bool:
         return self.value <= self.tol
 
+    @property
+    def margin(self) -> float:
+        """value / tol: at most 1 passes; nan for a zero tolerance."""
+        return self.value / self.tol if self.tol else math.nan
+
 
 def parabola(l: int, n_max: int, tol: float) -> Check:
     """Worst |W + nu^2/4 - 2(n+|l|+1)| over every truncation root, n <= n_max."""

@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
+from functools import partial
 
 import click
 import numpy as np
@@ -161,23 +163,28 @@ def verify(ctx, do_hft, do_match, do_residual, do_all, ls, n_max, i_max,
     if i_single is not None and n_single is None:
         raise click.UsageError("--i needs --n")
     ls = list(ls) if ls else [0, 1, 2]
-    results = []
+    calls = []
     if do_all:
-        results += [checks.parabola(l, n_max, 1e-10) for l in ls]
-        results += [checks.parity(l, n_max, 1e-12) for l in ls]
+        calls += [partial(checks.parabola, l, n_max, 1e-10) for l in ls]
+        calls += [partial(checks.parity, l, n_max, 1e-12) for l in ls]
     if do_residual or do_all:
         if n_single is not None:
             targets = [(n_single, 1 if i_single is None else i_single)]
         else:
             targets = [(n, i) for n in range(n_max + 1) for i in range(1, n + 2)]
-        results += [checks.residual(l, targets, residual_tol) for l in ls]
+        calls += [partial(checks.residual, l, targets, residual_tol) for l in ls]
     if do_hft or do_all:
         nus = (0.0, 2.5, 5.0) if nu_single is None else (nu_single,)
         js = (0, 1, 2) if nu_single is None else (0,)
         js = js if branch is None else (branch,)
-        results += [checks.hft(l, nu, j, hft_tol) for l in ls for nu in nus for j in js]
+        calls += [partial(checks.hft, l, nu, j, hft_tol) for l in ls for nu in nus for j in js]
     if do_match or do_all:
-        results += [checks.match(l, n_max, i_max, match_tol) for l in ls]
+        calls += [partial(checks.match, l, n_max, i_max, match_tol) for l in ls]
+    results, elapsed = [], []
+    for call in calls:
+        start = time.perf_counter()
+        results.append(call())
+        elapsed.append(time.perf_counter() - start)
     for c in results:
         click.echo(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<24} "
                    f"{c.value:.2e} (tol {c.tol:.1e})  {c.detail}")
@@ -189,8 +196,10 @@ def verify(ctx, do_hft, do_match, do_residual, do_all, ls, n_max, i_max,
             json.dump({"all_passed": all_ok,
                        "checks": [{"name": c.name, "passed": c.passed,
                                    "value": _json_number(c.value),
-                                   "tol": _json_number(c.tol), "detail": c.detail}
-                                  for c in results]}, f, indent=2)
+                                   "tol": _json_number(c.tol),
+                                   "margin": _json_number(c.margin),
+                                   "elapsed": t, "detail": c.detail}
+                                  for c, t in zip(results, elapsed)]}, f, indent=2)
             f.write("\n")
     ctx.exit(0 if all_ok else 1)
 

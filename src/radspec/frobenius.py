@@ -157,8 +157,8 @@ class TruncationSolution:
     nu_root: float
     W: float
     coeffs: tuple[float, ...]
-    # exact nu^2 at the refined root; ode_residual rebuilds the exact
-    # coefficients, W and a 2^-160 nu from it instead of using the float
+    # exact nu^2 at the refined root, a dyadic rational; ode_residual takes
+    # the exact coefficients, W and a 2^-160 nu from it, not from the float
     # fields, whose rounding alone costs ~1e-4 of relative residual at the
     # most negative roots. None for hand-built records.
     _mu: Fraction | None = field(default=None, repr=False, compare=False)
@@ -377,52 +377,68 @@ def evaluate_F(sol: TruncationSolution, r: float) -> float:
     return r ** sol.s * math.exp(-r * r / 2 - sol.nu_root * r / 2) * poly
 
 
-def _sqrt_highprec(mu: Fraction) -> Fraction:
-    # rational sqrt(mu) good to ~2^-160: the residual terms are large and
-    # cancel, so a float nu would put a ~1e-8 rounding floor under their sum
-    K = 1 << 160
-    return Fraction(math.isqrt(mu.numerator * K * K // mu.denominator), K)
-
-
 def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> float:
     """Residual of the radial equation at r, from analytic derivatives.
 
     Writes F = G(r) E(r) with G = r^s P(r) and E the exponential factor and
-    differentiates in closed form (no finite differences); the six equation
-    terms are formed divided by E, summed, and multiplied by E once. The
-    same body runs on floats for hand-built records and on Fractions for
-    solver-produced ones, which carry the exact root mu = nu^2: exact
-    coefficients and W at mu, nu = +/-sqrt(mu) to 2^-160, and r itself, so
-    the sum is exact and rounded once (the stored float coefficients alone
-    would cost ~1e-4 of relative residual at the most negative high-order
-    roots). With ``relative`` the residual is scaled by the largest term
-    magnitude.
+    differentiates in closed form; the six equation terms G'' + 2G'phi +
+    G(phi^2 - 1), (G' + G phi)/r, -l^2 G/r^2, -r^2 G, -nu r G and W G, with
+    phi = -r - nu/2, are formed divided by E, summed, and multiplied by E
+    once. Each term is an integer over one common denominator, so the sum is
+    exact and rounded once. r and a hand-built record's float fields are
+    dyadic rationals; a solver record gives the exact coefficients and W at
+    its root mu and nu = +/-isqrt(mu 2^320) / 2^160 (its float coefficients
+    alone would cost ~1e-4 of relative residual at the most negative
+    high-order roots). With ``relative`` the residual is scaled by the
+    largest term magnitude.
     """
-    if r <= 0:
-        raise ValueError(f"r={r} must be > 0")
+    if not 0 < r < math.inf:
+        raise ValueError(f"r={r} must be finite and > 0")
     s, n = sol.s, sol.n
     if sol._mu is None:
-        x, nu, W, coeffs, total = r, sol.nu_root, sol.W, sol.coeffs, math.fsum
+        fields = {"nu_root": sol.nu_root, "W": sol.W,
+                  **{f"coeffs[{j}]": c for j, c in enumerate(sol.coeffs)}}
+        for name, value in fields.items():
+            if not math.isfinite(value):
+                raise ValueError(f"hand-built solution has non-finite {name}={value}")
+        h, nu_den = sol.nu_root.as_integer_ratio()
+        Wn, Wd = sol.W.as_integer_ratio()
+        ratios = [c.as_integer_ratio() for c in sol.coeffs]
     else:
-        mu = sol._mu
-        nu = _sqrt_highprec(mu) if sol.nu_root >= 0 else -_sqrt_highprec(mu)
-        x, W, total = Fraction(r), 2 * (n + s + 1) - mu / 4, sum
-        d = _series_at_root(n, s, mu)[: n + 1]
-        coeffs = [dj * nu if j % 2 else dj for j, dj in enumerate(d)]
-    P = Pp = Ppp = 0
-    for c in reversed(coeffs):
-        Ppp = Ppp * x + 2 * Pp
-        Pp = Pp * x + P
-        P = P * x + c
-    xs, xs1, xs2 = x ** s, s * x ** (s - 1), s * (s - 1) * x ** (s - 2)
-    G = xs * P
-    Gp = xs1 * P + xs * Pp
-    Gpp = xs2 * P + 2 * xs1 * Pp + xs * Ppp
-    phi = -x - nu / 2                              # d/dr of the exponent
-    terms = (Gpp + 2 * Gp * phi + G * (phi * phi - 1), (Gp + G * phi) / x,
-             -sol.l ** 2 * G / (x * x), -x * x * G, -nu * x * G, W * G)
-    resid = float(total(terms))
+        p, q = sol._mu.numerator, sol._mu.denominator
+        h, nu_den = math.isqrt((p << 320) // q), 1 << 160
+        h = h if sol.nu_root >= 0 else -h
+        Wn, Wd = 8 * (n + s + 1) * q - p, 4 * q        # W = 2(n+s+1) - mu/4
+        ratios = [(d.numerator * h, d.denominator * nu_den) if j % 2 else d.as_integer_ratio()
+                  for j, d in enumerate(_series_at_root(n, s, sol._mu)[: n + 1])]
+    X, x_den = r.as_integer_ratio()
+    # r = X/2^e, nu = h/2^b, W = Wn/2^w, phi = Phi/2^(e+b+1)
+    e, b, w = x_den.bit_length() - 1, nu_den.bit_length() - 1, Wd.bit_length() - 1
+    den = math.lcm(*(d for _, d in ratios))
+    A0 = A1 = A2 = 0                    # den 2^(e n) (P, P', P'') by homogeneous Horner
+    for k, (num, d) in enumerate(reversed(ratios)):
+        A2 = A2 * X + (A1 << e + 1)
+        A1 = A1 * X + (A0 << e)
+        A0 = A0 * X + (num * (den // d) << e * k)
+    g = X ** max(s - 2, 0)
+    A0, A1, A2 = A0 * g, A1 * g, A2 * g
+    # each term is r^(s-2) times a polynomial in r, phi, nu, W and P, P', P'';
+    # those polynomials, scaled by 2^S, are integer combinations of A0, A1, A2
+    S = 2 + 4 * e + 2 * b + w
+    Phi = -((X << b + 1) + (h << e))
+    X2, PhiX = X * X, Phi * X
+    nums = (((s * (s - 1) << S) + (s * PhiX << S - 2 * e - b) + (PhiX * PhiX << w)
+             - (X2 << S - 2 * e)) * A0
+            + ((2 * s * X << S - e) + (PhiX * X << S - 3 * e - b)) * A1
+            + (X2 << S - 2 * e) * A2,
+            ((s << S) + (PhiX << S - 2 * e - b - 1)) * A0 + (X << S - e) * A1,
+            -(sol.l ** 2 << S) * A0,
+            -(X2 * X2 << S - 4 * e) * A0,
+            -(h * X2 * X << S - b - 3 * e) * A0,
+            (Wn * X2 << S - w - 2 * e) * A0)
+    common = den * X ** max(2 - s, 0) << e * (len(ratios) - 1 + s - 2) + S
+    resid = sum(nums) / common
     if relative:
-        scale = max(abs(float(t)) for t in terms)
+        scale = max(map(abs, nums)) / common
         return resid / scale if scale else 0.0
     return resid * math.exp(-r * r / 2 - sol.nu_root * r / 2)

@@ -186,6 +186,8 @@ def test_verify_writes_json_report(runner, tmp_path):
     check = report["checks"][0]
     assert check["passed"] is True
     assert check["tol"] == 1e-8 and 0 <= check["value"] <= check["tol"]
+    assert check["margin"] == check["value"] / check["tol"] <= 1
+    assert check["elapsed"] > 0
 
     res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--nu", "0",
                                "--hft-tol", "1e-9", "--out", str(out)])
@@ -195,6 +197,8 @@ def test_verify_writes_json_report(runner, tmp_path):
     check = report["checks"][0]
     assert check["passed"] is False
     assert check["tol"] == 1e-9 and check["value"] > check["tol"]
+    assert check["margin"] == check["value"] / check["tol"] > 1
+    assert check["elapsed"] > 0
 
 
 def _reject_constant(name):
@@ -211,6 +215,7 @@ def test_verify_json_writes_infinite_value_as_null(runner, tmp_path, monkeypatch
     assert res.exit_code == 1
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert report["checks"][0]["value"] is None
+    assert report["checks"][0]["margin"] is None
     assert report["checks"][0]["passed"] is False
 
 

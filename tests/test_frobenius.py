@@ -343,7 +343,91 @@ def test_residual_detects_detuned_coupling():
     assert abs(ode_residual(detuned, 1.0)) > 1e-3
 
 
+def _hand_built(sol, **fields):
+    """The float fields of a solver record, without its exact root."""
+    base = dict(n=sol.n, i=sol.i, l=sol.l, nu_root=sol.nu_root, W=sol.W, coeffs=sol.coeffs)
+    return type(sol)(**{**base, **fields})
+
+
+def _fraction_residual(sol, r, relative=False):
+    """Reference for ode_residual: its six terms in Fraction arithmetic.
+
+    A solver record's exact inputs are rebuilt from its root mu (nu to
+    2^-160); a hand-built record's float fields enter as the Fractions they
+    equal. The sum and each term are rounded once, by float(Fraction).
+    """
+    s, n = sol.s, sol.n
+    if sol._mu is None:
+        nu, W = Fraction(sol.nu_root), Fraction(sol.W)
+        coeffs = [Fraction(c) for c in sol.coeffs]
+    else:
+        mu = sol._mu
+        root = Fraction(math.isqrt(mu.numerator * 2 ** 320 // mu.denominator), 2 ** 160)
+        nu = root if sol.nu_root >= 0 else -root
+        W = 2 * (n + s + 1) - mu / 4
+        d = frobenius._series_at_root(n, s, mu)[: n + 1]
+        coeffs = [dj * nu if j % 2 else dj for j, dj in enumerate(d)]
+    x = Fraction(r)
+    P = Pp = Ppp = Fraction(0)
+    for c in reversed(coeffs):
+        Ppp = Ppp * x + 2 * Pp
+        Pp = Pp * x + P
+        P = P * x + c
+    xs, xs1, xs2 = x ** s, s * x ** (s - 1), s * (s - 1) * x ** (s - 2)
+    G = xs * P
+    Gp = xs1 * P + xs * Pp
+    Gpp = xs2 * P + 2 * xs1 * Pp + xs * Ppp
+    phi = -x - nu / 2
+    terms = (Gpp + 2 * Gp * phi + G * (phi * phi - 1), (Gp + G * phi) / x,
+             -sol.l ** 2 * G / (x * x), -x * x * G, -nu * x * G, W * G)
+    resid = float(sum(terms))
+    if relative:
+        scale = max(abs(float(t)) for t in terms)
+        return resid / scale if scale else 0.0
+    return resid * math.exp(-r * r / 2 - sol.nu_root * r / 2)
+
+
+ORACLE_RADII = (0.05, 0.1, 0.3, 1.0, 2.5, 6.0, 10.0, 2.0 ** -30)
+
+
+@pytest.mark.parametrize("n,i,l", [(12, 13, 0), (12, 1, 0), (11, 6, -1), (10, 11, 2),
+                                   (0, 1, 0), (6, 3, 4)])
+def test_residual_matches_fraction_oracle(n, i, l):
+    """Bit for bit, relative and absolute, on the solver record and on a
+    hand-built record holding the same float fields."""
+    sol = polynomial_solution(n, i, l)
+    for rec in (sol, _hand_built(sol)):
+        for r in ORACLE_RADII:
+            for relative in (False, True):
+                got = ode_residual(rec, r, relative=relative)
+                assert repr(got) == repr(_fraction_residual(rec, r, relative)), (rec, r)
+
+
+def test_residual_of_detuned_record_matches_fraction_oracle():
+    sol = polynomial_solution(1, 1, 0)
+    detuned = _hand_built(sol, nu_root=sol.nu_root + 0.1,
+                          W=truncation_energy(1, 0, sol.nu_root + 0.1))
+    for r in ORACLE_RADII:
+        for relative in (False, True):
+            got = ode_residual(detuned, r, relative=relative)
+            assert repr(got) == repr(_fraction_residual(detuned, r, relative)), r
+
+
+@pytest.mark.parametrize("field,value", [("nu_root", math.nan), ("W", math.inf),
+                                         ("coeffs", (1.0, -math.inf))])
+def test_residual_rejects_non_finite_hand_built_field(field, value):
+    sol = _hand_built(polynomial_solution(1, 1, 0), **{field: value})
+    with pytest.raises(ValueError, match=field):
+        ode_residual(sol, 1.0)
+
+
 def test_residual_rejects_nonpositive_r():
     sol = polynomial_solution(0, 1, 0)
     with pytest.raises(ValueError):
         ode_residual(sol, 0.0)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_residual_rejects_non_finite_r(r):
+    with pytest.raises(ValueError, match="finite"):
+        ode_residual(polynomial_solution(0, 1, 0), r)
