@@ -27,9 +27,10 @@ symmetric about 0. The roots are seeded from that matrix's eigenvalues
 (Golub & Welsch 1969) and each is certified by an exact sign change of the
 truncation polynomial. As c_j has the parity of j, c_j = d_j nu^(j mod 2)
 with d_{j+2} = a_j m_j d_{j+1} + b_j d_j in mu = nu^2 (m_j = mu for even j,
-1 for odd j). That one recurrence, run over rational polynomials in mu,
-yields the reduced truncation polynomial d_{n+1}(mu); run at an exact root
-mu, it yields the series coefficients there in O(n) rational steps.
+1 for odd j). That one recurrence, multiplied through by its denominators and
+run over integers, yields the reduced truncation polynomial d_{n+1}(mu) over one
+scale; run at an exact root mu, it yields the series coefficients there over
+one denominator in O(n) integer steps.
 """
 
 from __future__ import annotations
@@ -61,12 +62,12 @@ __all__ = [
     "ode_residual",
 ]
 
-# Bisection width in nu^2, relative to each root (and never wider than this
-# in absolute terms): a refined mu is within a factor 1 +/- ROOT_REL_TOL/2 of
-# the true root. Far tighter than float64 needs: the leftover c_{n+1}(mu)
-# enters the equation residual multiplied by r^n, so a 1e-13 root still shows
-# ~1e-1 relative residual at the worst (n=10, i=11) point; 1e-25 buries that
-# amplification below the 1e-8 residual contract.
+# Width of the final grid cell in nu^2, relative to each root (and never
+# wider than this in absolute terms): a refined mu is within a factor
+# 1 +/- ROOT_REL_TOL/2 of the true root. Far tighter than float64 needs: the
+# leftover c_{n+1}(mu) enters the equation residual multiplied by r^n, so a
+# 1e-13 root still shows ~1e-1 relative residual at the worst (n=10, i=11)
+# point; 1e-25 buries that amplification below the 1e-8 residual contract.
 ROOT_REL_TOL = Fraction(1, 10**25)
 CLOSURE_TOL = 1e-10                  # |c_{n+1}|, |c_{n+2}| relative to max |c_j|
 
@@ -203,27 +204,28 @@ def truncation_energy(n: int, s: int, nu):
 # ---------------------------------------------------------------------------
 # truncation polynomial and its roots: one recurrence for d_j in mu = nu^2
 
-@lru_cache(maxsize=None)
-def _truncated_pairs(n: int, s: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    # (a_j, b_j) for j = -1..n: the pair (A_j, B_j) at nu = 1 with W pinned
-    # by order-n truncation, since A_j = nu a_j and B_j does not depend on nu
-    one = Fraction(1)
-    W = truncation_energy(n, s, one)
-    pairs = (recurrence_coeffs(j, s, one, W) for j in range(-1, n + 1))
-    return tuple((pair.A, pair.B) for pair in pairs)
+def _integer_steps(n: int, s: int) -> list[tuple[int, int, int, bool]]:
+    # (A_j, B_j, D_j, j even) for j = -1..n: D_j d_{j+2} = A_j m_j d_{j+1} + B_j d_j
+    # is the recurrence with W pinned by order-n truncation, times D_j
+    return [(2 * j + 2 * s + 3, -4 * (n - j), 2 * (j + 2) * (j + 2 * s + 2), j % 2 == 0)
+            for j in range(-1, n + 1)]
 
 
 @lru_cache(maxsize=None)
-def _reduced_polynomial(n: int, s: int) -> tuple[Fraction, ...]:
-    """q = d_{n+1} as ascending coefficients in mu: c_{n+1} = q(nu^2) nu^((n+1) mod 2)."""
-    prev: tuple[Fraction, ...] = ()
-    cur = (Fraction(1),)
-    for j, (a, b) in enumerate(_truncated_pairs(n, s)[: n + 1], start=-1):
-        nxt = ([Fraction(0)] if j % 2 == 0 else []) + [a * c for c in cur]
+def _reduced_polynomial(n: int, s: int) -> tuple[tuple[int, ...], int]:
+    """(Q, E): c_{n+1} = d_{n+1}(nu^2) nu^((n+1) mod 2), d_{n+1} = Q(mu) / E, E > 0.
+
+    Q holds ascending integer coefficients; d_j is kept over E_j = D_{j-2} E_{j-1}.
+    """
+    if n < 0:
+        raise ValueError(f"truncation order n={n} must be >= 0")
+    prev, cur, E, D_prev = [], [1], 1, 1                      # d_{-1} = 0, d_0 = 1/1
+    for A, B, D, even in _integer_steps(n, s)[: n + 1]:
+        nxt = ([0] if even else []) + [A * c for c in cur]
         for k, c in enumerate(prev):
-            nxt[k] += b * c
-        prev, cur = cur, tuple(nxt)
-    return cur
+            nxt[k] += B * D_prev * c
+        prev, cur, E, D_prev = cur, nxt, E * D, D
+    return tuple(cur), E
 
 
 def cnp1_polynomial(n: int, l: int) -> TruncationPolynomial:
@@ -236,19 +238,18 @@ def cnp1_polynomial(n: int, l: int) -> TruncationPolynomial:
     n+1, parity (-1)^(n+1), and a positive leading coefficient. Depends on
     l only through s = |l|.
     """
-    if n < 0:
-        raise ValueError(f"truncation order n={n} must be >= 0")
-    q = _reduced_polynomial(n, abs(l))
+    Q, E = _reduced_polynomial(n, abs(l))
     coeffs = [Fraction(0)] * (n + 2)
-    coeffs[(n + 1) % 2::2] = q
+    coeffs[(n + 1) % 2::2] = (Fraction(c, E) for c in Q)
     return TruncationPolynomial(n=n, l=l, coeffs=tuple(coeffs))
 
 
 def _jacobi_seeds(n: int, s: int, count: int) -> list[float]:
-    # squares of the `count` largest eigenvalues of the Jacobi matrix whose
-    # characteristic polynomial is c_{n+1}: float seeds in mu, increasing
-    pairs = _truncated_pairs(n, s)[: n + 1]
-    off = [math.sqrt(-b / (a * a_prev)) for (a_prev, _), (a, b) in zip(pairs, pairs[1:])]
+    # squares of the `count` largest eigenvalues of the Jacobi matrix of c_{n+1},
+    # off-diagonal sqrt(-B_k D_{k-1} / (A_k A_{k-1})): float seeds in mu, increasing
+    steps = _integer_steps(n, s)[: n + 1]
+    off = [math.sqrt(-B * D_prev / (A * A_prev))
+           for (A_prev, _, D_prev, _), (A, B, _, _) in zip(steps, steps[1:])]
     eigenvalues = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     return [float(lam) ** 2 for lam in eigenvalues[n + 1 - count:]]
 
@@ -262,51 +263,61 @@ class _RootRecord(NamedTuple):
 def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
     """All n+1 roots in decreasing nu, each certified by an exact sign change.
 
-    The positive roots mu = nu^2 of the reduced polynomial q are bracketed on
+    The positive roots mu = nu^2 of the reduced polynomial Q are bracketed on
     the dyadic grid around the Jacobi seeds: from 0 through the midpoints of
     neighbouring seeds to twice the last seed. The brackets are disjoint and
-    there are deg(q) of them, so a sign change of q across every one accounts
-    for all its roots. Each is then bisected in integer arithmetic.
+    there are deg(Q) of them, so a sign change across each holds its one root.
+    Each is narrowed to one grid cell by integer Newton steps from its seed,
+    guarded as rtsafe (Numerical Recipes 9.4): bisect unless the Newton point
+    is inside the bracket and the step at least halves every two evaluations.
+    The root stays in (lo, hi], so the cell is the one bisection ends in.
     """
-    q = _reduced_polynomial(n, s)
-    if q[0] == 0:
+    Q, _ = _reduced_polynomial(n, s)
+    if Q[0] == 0:
         # a nu=0 root of multiplicity > parity cannot occur for a Jacobi
         # matrix, so treat it as a defect rather than guessing
         raise RootRefinementFailure(f"mu=0 root in reduced polynomial (n={n}, s={s})")
 
-    d = len(q) - 1
+    d = len(Q) - 1
     mu_seeds = _jacobi_seeds(n, s, d)
-    # bisect on the dyadic grid m / 2^K with 2^-K <= ROOT_REL_TOL min(1, mu/2)
+    # refine on the dyadic grid m / 2^K with 2^-K <= ROOT_REL_TOL min(1, mu/2)
     # at the smallest seed mu: within tolerance relative to every root, with
     # a factor 2 to spare for the seed's float error
     cell = ROOT_REL_TOL * min(1, Fraction(min(mu_seeds, default=2.0)) / 2)
     K = (-(-cell.denominator // cell.numerator) - 1).bit_length()
-    den = math.lcm(*(c.denominator for c in q))
-    # 2^(K d) den q(m / 2^K): an integer polynomial in m
-    scaled = [int(c * den) << (K * (d - k)) for k, c in enumerate(q)]
+    # 2^(K d) Q(m / 2^K): an integer polynomial in m, descending
+    scaled = [c << (K * (d - k)) for k, c in enumerate(Q)][::-1]
 
-    def sign(m: int) -> int:
-        acc = 0
-        for c in reversed(scaled):
-            acc = acc * m + c
-        return (acc > 0) - (acc < 0)
+    def value_slope(m: int) -> tuple[int, int]:
+        v = dv = 0
+        for c in scaled:
+            dv = dv * m + v
+            v = v * m + c
+        return v, dv
 
     seeds = [int(math.ldexp(mu, K)) for mu in mu_seeds]
     cuts = [0, *((a + b) // 2 for a, b in zip(seeds, seeds[1:]))]
     cuts += [2 * m for m in seeds[-1:]]          # no upper cut when there are no seeds
+    signs = [(v > 0) - (v < 0) for v, _ in map(value_slope, cuts)]
     positives: list[Fraction] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        sign_lo = sign(lo)
-        if not lo < hi or sign_lo * sign(hi) >= 0:
+    for seed, lo, hi, sign_lo, sign_hi in zip(seeds, cuts, cuts[1:], signs, signs[1:]):
+        if not lo < hi or sign_lo * sign_hi >= 0:
             raise RootRefinementFailure(
                 f"no certified root of c_{n + 1} for s={s} with nu^2 in "
                 f"[{math.ldexp(lo, -K)}, {math.ldexp(hi, -K)}]")
+        x = seed if lo < seed < hi else (lo + hi) // 2
+        step = step_old = hi - lo
         while hi - lo > 1:                 # keeps the root in (lo, hi]
-            mid = (lo + hi) // 2
-            if sign(mid) == sign_lo:
-                lo = mid
+            v, dv = value_slope(x)
+            lo, hi = (x, hi) if v * sign_lo > 0 else (lo, x)
+            newton = v // dv if dv else hi - lo    # in whole cells; dv = 0 bisects
+            if abs(newton) <= 1:           # probe the neighbouring cell on the root's side
+                nxt = x + 1 if x == lo else x - 1
+            elif lo < x - newton < hi and 2 * abs(newton) <= abs(step_old):
+                nxt = x - newton
             else:
-                hi = mid
+                nxt = (lo + hi) // 2
+            step_old, step, x = step, nxt - x, nxt
         positives.append(Fraction(lo + hi, 1 << (K + 1)))
 
     records = [_RootRecord(math.sqrt(float(mu)), mu) for mu in reversed(positives)]
@@ -331,20 +342,28 @@ def truncation_roots(n: int, l: int) -> list[float]:
 
 
 @lru_cache(maxsize=None)
-def _series_at_root(n: int, s: int, mu: Fraction) -> tuple[Fraction, ...]:
-    """d_0..d_{n+2} at the exact root mu; c_j = d_j nu^(j mod 2) for either sign of nu."""
-    d = [Fraction(0), Fraction(1)]                       # d_{-1}, d_0
-    for j, (a, b) in enumerate(_truncated_pairs(n, s), start=-1):
-        d.append(a * (mu if j % 2 == 0 else 1) * d[-1] + b * d[-2])
-    return tuple(d[1:])
+def _series_at_root(n: int, s: int, mu: Fraction) -> tuple[tuple[int, ...], int]:
+    """(D, E): d_j = D_j / E, j = 0..n+2, at the exact root mu; c_j = d_j nu^(j mod 2).
+
+    Each d_j is formed over its own E_j, which divides E = E_{n+2}.
+    """
+    p, q = mu.numerator, mu.denominator
+    nums, dens, ratio = [0, 1], [1, 1], 1        # d_{-1}, d_0 over E_j; E_{j+1} / E_j
+    for A, B, D, even in _integer_steps(n, s):
+        mp, mq = (p, q) if even else (1, 1)
+        nums.append(A * mp * nums[-1] + B * mq * ratio * nums[-2])
+        ratio = D * mq
+        dens.append(dens[-1] * ratio)
+    E = dens[-1]
+    return tuple(num * (E // den) for num, den in zip(nums[1:], dens[1:])), E
 
 
 def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
     """Full solution record for the i-th root (1-based, decreasing nu).
 
     Coefficients c_0..c_{n+2} come from one pass of the recurrence in
-    mu = nu^2 at the exact refined root, in rational arithmetic, and are
-    converted to float last; the closure conditions c_{n+1} = c_{n+2} = 0
+    mu = nu^2 at the exact refined root, as integers over one denominator,
+    and are rounded to float last; the closure conditions c_{n+1} = c_{n+2} = 0
     are verified to 1e-10 relative to max |c_j|, and c_n must not vanish.
     """
     records = _root_data(n, abs(l))
@@ -352,8 +371,8 @@ def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
         raise IndexOutOfRange(
             f"root index i={i} outside 1..{len(records)} for n={n}, l={l}")
     rec = records[i - 1]
-    d = _series_at_root(n, abs(l), rec.mu)
-    values = [float(dj) * (rec.nu if j % 2 else 1.0) for j, dj in enumerate(d)]
+    D, E = _series_at_root(n, abs(l), rec.mu)
+    values = [Dj / E * (rec.nu if j % 2 else 1.0) for j, Dj in enumerate(D)]
     scale = max(abs(v) for v in values[: n + 1])
     if abs(values[n + 1]) > CLOSURE_TOL * scale or abs(values[n + 2]) > CLOSURE_TOL * scale:
         raise RootRefinementFailure(
@@ -368,9 +387,9 @@ def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
 
 
 def evaluate_F(sol: TruncationSolution, r: float) -> float:
-    """Radial eigenfunction r^s exp(-r^2/2 - nu r/2) sum_j c_j r^j at r > 0."""
-    if r <= 0:
-        raise ValueError(f"r={r} must be > 0")
+    """Radial eigenfunction r^s exp(-r^2/2 - nu r/2) sum_j c_j r^j at finite r > 0."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"r={r} must be finite and > 0")
     poly = 0.0
     for c in reversed(sol.coeffs):
         poly = poly * r + c
@@ -409,8 +428,8 @@ def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> f
         h, nu_den = math.isqrt((p << 320) // q), 1 << 160
         h = h if sol.nu_root >= 0 else -h
         Wn, Wd = 8 * (n + s + 1) * q - p, 4 * q        # W = 2(n+s+1) - mu/4
-        ratios = [(d.numerator * h, d.denominator * nu_den) if j % 2 else d.as_integer_ratio()
-                  for j, d in enumerate(_series_at_root(n, s, sol._mu)[: n + 1])]
+        D, E = _series_at_root(n, s, sol._mu)
+        ratios = [(Dj * h, E * nu_den) if j % 2 else (Dj, E) for j, Dj in enumerate(D[: n + 1])]
     X, x_den = r.as_integer_ratio()
     # r = X/2^e, nu = h/2^b, W = Wn/2^w, phi = Phi/2^(e+b+1)
     e, b, w = x_den.bit_length() - 1, nu_den.bit_length() - 1, Wd.bit_length() - 1

@@ -119,13 +119,23 @@ def test_mu_recurrence_matches_public_recurrence(s):
         for n in range(0, 23):
             c = series_coeffs(n + 2, s, nu, truncation_energy(n, s, nu))
             assert cnp1_polynomial(n, s)(nu) == c[n + 1]
-            d = frobenius._series_at_root(n, s, nu * nu)
-            assert [dj * nu ** (j % 2) for j, dj in enumerate(d)] == c
+            D, E = frobenius._series_at_root(n, s, nu * nu)
+            assert [Fraction(Dj, E) * nu ** (j % 2) for j, Dj in enumerate(D)] == c
 
 
 def test_cnp1_rejects_negative_order():
     with pytest.raises(ValueError):
         cnp1_polynomial(-1, 0)
+
+
+@pytest.mark.parametrize("call", [lambda: truncation_roots(-1, 0), lambda: root_isolation(-2, 1),
+                                  lambda: polynomial_solution(-1, 1, 0),
+                                  lambda: cnp1_polynomial(-1, 0)],
+                         ids=["truncation_roots", "root_isolation", "polynomial_solution",
+                              "cnp1_polynomial"])
+def test_negative_order_raises_value_error(call):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call()
 
 
 # --- roots -------------------------------------------------------------------
@@ -203,6 +213,73 @@ def test_uncertified_seeds_raise(monkeypatch, distort):
                         lambda n, s, count: distort(*true_seeds(n, s, count)))
     with pytest.raises(RootRefinementFailure):
         frobenius._root_data.__wrapped__(3, 1)      # two roots in mu; bypass the cache
+
+
+def _bisection_root_data(n, s):
+    """Reference for _root_data: the integer bisection that Newton replaced.
+
+    Same polynomial (from the public cnp1_polynomial), seeds, grid and cuts;
+    each bracket is halved until it is one grid cell wide.
+    """
+    q = cnp1_polynomial(n, s).coeffs[(n + 1) % 2::2]
+    if q[0] == 0:
+        raise RootRefinementFailure(f"mu=0 root in reduced polynomial (n={n}, s={s})")
+    d = len(q) - 1
+    mu_seeds = frobenius._jacobi_seeds(n, s, d)
+    cell = frobenius.ROOT_REL_TOL * min(1, Fraction(min(mu_seeds, default=2.0)) / 2)
+    K = (-(-cell.denominator // cell.numerator) - 1).bit_length()
+    den = math.lcm(*(c.denominator for c in q))
+    scaled = [int(c * den) << (K * (d - k)) for k, c in enumerate(q)]
+
+    def sign(m):
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * m + c
+        return (acc > 0) - (acc < 0)
+
+    seeds = [int(math.ldexp(mu, K)) for mu in mu_seeds]
+    cuts = [0, *((a + b) // 2 for a, b in zip(seeds, seeds[1:]))]
+    cuts += [2 * m for m in seeds[-1:]]
+    positives = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        sign_lo = sign(lo)
+        if not lo < hi or sign_lo * sign(hi) >= 0:
+            raise RootRefinementFailure(
+                f"no certified root of c_{n + 1} for s={s} with nu^2 in "
+                f"[{math.ldexp(lo, -K)}, {math.ldexp(hi, -K)}]")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if sign(mid) == sign_lo:
+                lo = mid
+            else:
+                hi = mid
+        positives.append(Fraction(lo + hi, 1 << (K + 1)))
+    records = [frobenius._RootRecord(math.sqrt(float(mu)), mu) for mu in reversed(positives)]
+    if (n + 1) % 2:
+        records.append(frobenius._RootRecord(0.0, Fraction(0)))
+    records.extend(frobenius._RootRecord(-math.sqrt(float(mu)), mu) for mu in positives)
+    return tuple(records)
+
+
+def _outcome(root_data, n, s):
+    try:
+        return root_data(n, s)
+    except RootRefinementFailure as err:
+        return ("RootRefinementFailure", str(err))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 + 1e-6, 0.97, 0.8, 1.2])
+def test_root_data_matches_bisection(monkeypatch, scale):
+    """Guarded Newton ends in bisection's cell for every order n <= 40, s <= 2,
+    also from distorted seeds; an order that fails to certify fails on both
+    sides with the same bracket. Unguarded Newton crawls from seeds x 0.8."""
+    true_seeds = frobenius._jacobi_seeds
+    monkeypatch.setattr(frobenius, "_jacobi_seeds",
+                        lambda n, s, count: [mu * scale for mu in true_seeds(n, s, count)])
+    for s in (0, 1, 2):
+        for n in range(41):
+            assert (_outcome(frobenius._root_data.__wrapped__, n, s)
+                    == _outcome(_bisection_root_data, n, s)), (n, s)
 
 
 def test_root_symmetry_under_negation():
@@ -303,6 +380,12 @@ def test_evaluate_rejects_nonpositive_r():
         evaluate_F(sol, -1.0)
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_evaluate_rejects_non_finite_r(r):
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_F(polynomial_solution(0, 1, 0), r)
+
+
 def test_residual_ground_state():
     sol = polynomial_solution(0, 1, 0)
     assert abs(ode_residual(sol, 1.0)) < 1e-12
@@ -365,7 +448,8 @@ def _fraction_residual(sol, r, relative=False):
         root = Fraction(math.isqrt(mu.numerator * 2 ** 320 // mu.denominator), 2 ** 160)
         nu = root if sol.nu_root >= 0 else -root
         W = 2 * (n + s + 1) - mu / 4
-        d = frobenius._series_at_root(n, s, mu)[: n + 1]
+        D, E = frobenius._series_at_root(n, s, mu)
+        d = [Fraction(Dj, E) for Dj in D[: n + 1]]
         coeffs = [dj * nu if j % 2 else dj for j, dj in enumerate(d)]
     x = Fraction(r)
     P = Pp = Ppp = Fraction(0)
