@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .frobenius import TruncationSolution, polynomial_solution
-from .spectrum import ReducedProblem, SolverConfig, curve_scan, solve_spectrum
+from .spectrum import ReducedProblem, SolverConfig, _eigensolve, curve_scan
 
 __all__ = [
     "PhysicalParams",
@@ -199,8 +199,7 @@ def match_truncation_to_curves(points: Sequence[TruncationSolution],
     results = []
     for pt in points:
         cfg = base if base.levels > pt.i else replace(base, levels=pt.i + 1)
-        states = solve_spectrum(ReducedProblem(pt.l, pt.nu_root), cfg)
-        dists = [abs(st.W - pt.W) for st in states]
+        dists = [abs(w - pt.W) for w in _eigensolve(ReducedProblem(pt.l, pt.nu_root), cfg)[0]]
         nearest = int(np.argmin(dists))
         results.append(MatchResult(
             n=pt.n, i=pt.i, l=pt.l, nu=pt.nu_root, W_truncation=pt.W,

@@ -307,7 +307,11 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
                 f"[{math.ldexp(lo, -K)}, {math.ldexp(hi, -K)}]")
         x = seed if lo < seed < hi else (lo + hi) // 2
         step = step_old = hi - lo
+        budget = 2 * step.bit_length() + 4     # evaluations; s <= 2, n <= 40 take at most 16
         while hi - lo > 1:                 # keeps the root in (lo, hi]
+            if (budget := budget - 1) < 0:
+                raise RootRefinementFailure(f"refinement of the root of c_{n + 1} for s={s} "
+                                            f"near nu^2 = {math.ldexp(x, -K)} does not converge")
             v, dv = value_slope(x)
             lo, hi = (x, hi) if v * sign_lo > 0 else (lo, x)
             newton = v // dv if dv else hi - lo    # in whole cells; dv = 0 bisects

@@ -282,6 +282,16 @@ def test_root_data_matches_bisection(monkeypatch, scale):
                     == _outcome(_bisection_root_data, n, s)), (n, s)
 
 
+def test_stalled_refinement_raises_instead_of_hanging(monkeypatch):
+    """A step that only ever probes the neighbouring cell would walk the 2e10 to
+    2e11 cells between each float seed and its root for n = 5; the evaluation
+    cap turns that hang into a failure."""
+    # with abs() = 0 every Newton step looks shorter than a cell
+    monkeypatch.setattr(frobenius, "abs", lambda value: 0, raising=False)
+    with pytest.raises(RootRefinementFailure, match="does not converge"):
+        frobenius._root_data.__wrapped__(5, 0)
+
+
 def test_root_symmetry_under_negation():
     for n in range(0, 23):
         roots = truncation_roots(n, 0)

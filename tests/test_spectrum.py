@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radspec import spectrum
+from radspec.analysis import match_truncation_to_curves
 from radspec.frobenius import ReducedProblem, polynomial_solution
 from radspec.spectrum import (
     DomainTooSmall,
@@ -254,3 +255,58 @@ def test_monotonicity_guard_is_exercised_by_valid_scan():
         curve_scan(2, 2, list(np.linspace(0.0, 4.0, 5)))
     except MonotonicityViolation as exc:  # pragma: no cover
         pytest.fail(f"spurious monotonicity violation: {exc}")
+
+
+# --- eigenvalue stage without sampling ---------------------------------------
+
+@pytest.mark.parametrize("l", [0, 1, -1, 2])
+def test_curve_scan_eigenvalues_equal_solve_spectrum(l):
+    # the grid crosses the shift jumps at every negative integer nu
+    grid = [float(v) for v in np.linspace(-12.1, 12.1, 23)]
+    solved = [solve_spectrum(ReducedProblem(l, nu)) for nu in grid]
+    for keep in (False, True):
+        curves = curve_scan(l, 3, grid, keep_eigenfunctions=keep)
+        for j, curve in enumerate(curves):
+            assert curve.W == tuple(sts[j].W for sts in solved)
+            assert all(type(w) is float for w in curve.W)
+
+
+def test_match_distances_equal_solve_spectrum():
+    points = [polynomial_solution(n, i, l) for n, i, l in ((3, 1, 0), (4, 2, 1), (6, 3, 2))]
+    report = match_truncation_to_curves(points)
+    for pt, res in zip(points, report.results):
+        states = solve_spectrum(ReducedProblem(pt.l, pt.nu_root), SolverConfig(levels=pt.i + 1))
+        dists = [abs(st.W - pt.W) for st in states]
+        assert res.matched_branch == int(np.argmin(dists))
+        assert res.distance == dists[res.matched_branch]
+
+
+@pytest.mark.parametrize("l, nu, config, error", [
+    (40, 0.0, SolverConfig(), DomainTooSmall),
+    (5, 1000.0, SolverConfig(), NotConverged),
+    (0, 0.0, SolverConfig(r_max=6.5), DomainTooSmall),
+])
+def test_eigenvalue_stage_raises_as_solve_spectrum(l, nu, config, error):
+    with pytest.raises(error):
+        solve_spectrum(ReducedProblem(l, nu), config)
+    with pytest.raises(error):
+        curve_scan(l, config.levels, [nu], config)
+    with pytest.raises(error):
+        spectrum._eigensolve(ReducedProblem(l, nu), config)
+
+
+def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
+    lengths = []
+    basis_values = spectrum._basis_values
+
+    def recording(s, c, alpha, beta, r):
+        lengths.append(len(r))
+        return basis_values(s, c, alpha, beta, r)
+
+    monkeypatch.setattr(spectrum, "_basis_values", recording)
+    n = SolverConfig().grid_points
+    curve_scan(1, 3, [-3.5, 0.0, 2.0])
+    match_truncation_to_curves([polynomial_solution(4, i, 0) for i in (1, 3)])
+    assert lengths and max(lengths) < n
+    solve_spectrum(ReducedProblem(1, 2.0))     # the recorder sees a sampling solve
+    assert lengths[-1] == n
