@@ -43,7 +43,7 @@ from .frobenius import (
     truncation_energy,
     truncation_roots,
 )
-from .spectrum import SolverConfig, SolverError, curve_scan, solve_spectrum
+from .spectrum import SolverConfig, SolverError, _eigensolve, curve_scan
 
 _MODULE_ERRORS = (
     DegenerateFit, InvalidAlpha, InvalidMass, SolverError,
@@ -342,7 +342,7 @@ def energy(m, a, theta, varpi, l, branch, w_values, theta_min, theta_max,
     for th in thetas:
         p = PhysicalParams(m=m, a=a, theta=float(th), varpi=varpi, l=l)
         nu = map_physical_to_nu(p)
-        W = solve_spectrum(ReducedProblem(l, nu), config)[branch].W
+        W = _eigensolve(ReducedProblem(l, nu), config)[0][branch]
         rows.append([float(th), map_W_to_E(W, p)])
     _emit_rows(["theta", "E"], rows, fmt, out)
 

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from radspec import spectrum
 from radspec.analysis import match_truncation_to_curves
+from radspec.cli import main
 from radspec.frobenius import ReducedProblem, polynomial_solution
 from radspec.spectrum import (
     DomainTooSmall,
@@ -296,6 +298,7 @@ def test_eigenvalue_stage_raises_as_solve_spectrum(l, nu, config, error):
 
 
 def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
+    # curve_scan without eigenfunctions, match_truncation_to_curves, `radspec energy`
     lengths = []
     basis_values = spectrum._basis_values
 
@@ -307,6 +310,8 @@ def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
     n = SolverConfig().grid_points
     curve_scan(1, 3, [-3.5, 0.0, 2.0])
     match_truncation_to_curves([polynomial_solution(4, i, 0) for i in (1, 3)])
+    sweep = ["energy", "--theta-min", "1", "--theta-max", "2", "--theta-steps", "3"]
+    assert CliRunner().invoke(main, sweep).exit_code == 0
     assert lengths and max(lengths) < n
     solve_spectrum(ReducedProblem(1, 2.0))     # the recorder sees a sampling solve
     assert lengths[-1] == n
