@@ -258,10 +258,10 @@ def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4,
               config: SolverConfig | None = None) -> HftCheck:
     """Check dW_j/dnu = <r> at the given problem point.
 
-    The slope is the central difference of the eigenvalues alone over
-    nu +- delta; the expectation value is the midpoint rule over the
-    eigenfunction sampled at nu itself, so the two sides are independent. On the default grid the
-    midpoint rule dominates: <= 3.3e-6 for l = 0, 1.7e-8 for l = 1..3 (nu -3..12).
+    The slope is the central difference of eigenvalues over nu +- delta;
+    <r> is the midpoint rule over the eigenfunction sampled at nu itself,
+    so the two sides are independent. On the default grid the midpoint
+    rule dominates: <= 3.3e-6 for l = 0, 1.7e-8 for l = 1..3 (nu -3..12).
     """
     if delta <= 0:
         raise ValueError(f"delta={delta} must be positive")
