@@ -50,7 +50,7 @@ def parity(l: int, n_max: int, tol: float) -> Check:
     """Worst |r + r'| / (1 + |r|) over mirrored root pairs, n <= n_max."""
     worst = 0.0
     for n in range(n_max + 1):
-        roots = root_isolation(n, l).roots
+        roots = root_isolation(n, l)
         paired = sum(r > 0 for r in roots) == sum(r < 0 for r in roots)
         if not paired or (0.0 in roots) != (n % 2 == 0):
             return Check(f"parity l={l}", math.inf, tol, f"roots not paired as +-r at n={n}")

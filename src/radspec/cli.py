@@ -40,8 +40,8 @@ from .frobenius import (
     IndexOutOfRange,
     ReducedProblem,
     RootRefinementFailure,
+    root_isolation,
     truncation_energy,
-    truncation_roots,
 )
 from .spectrum import SolverConfig, SolverError, _eigensolve, curve_scan
 
@@ -254,7 +254,7 @@ def figure(out_dir, curve_samples):
     import os
     os.makedirs(out_dir, exist_ok=True)
     points = [pt for pt in truncation_point_set(22, 3, 0) if pt.nu_root >= 0]
-    nu_top = truncation_roots(22, 0)[0]
+    nu_top = root_isolation(22, 0)[0]
     grid = sorted(set(np.linspace(0.0, nu_top, curve_samples))
                   | {pt.nu_root for pt in points})
     curves = curve_scan(0, 3, grid)
@@ -275,7 +275,7 @@ def figure(out_dir, curve_samples):
 
 @main.command()
 @click.option("--l", "l", type=int, default=0, show_default=True)
-@click.option("--branch", type=int, default=0, show_default=True)
+@click.option("--branch", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--n-max", type=int, default=22, show_default=True)
 @click.option("--out", type=click.Path(allow_dash=True), default=None,
               help="Also write the fit report as JSON.")
@@ -310,7 +310,7 @@ def fit(l, branch, n_max, out):
 @click.option("--theta", type=float, default=None)
 @click.option("--varpi", type=float, default=0.0, show_default=True)
 @click.option("--l", "l", type=int, default=0, show_default=True)
-@click.option("--branch", type=int, default=0, show_default=True)
+@click.option("--branch", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--W", "w_values", type=float, multiple=True,
               help="Map explicit reduced eigenvalues instead of solving.")
 @click.option("--theta-min", type=float, default=None)

@@ -45,20 +45,14 @@ import numpy as np
 
 __all__ = [
     "ReducedProblem",
-    "RecurrencePair",
     "TruncationPolynomial",
-    "RootIsolation",
     "TruncationSolution",
     "RootRefinementFailure",
     "IndexOutOfRange",
-    "recurrence_coeffs",
-    "series_coeffs",
     "truncation_energy",
     "cnp1_polynomial",
     "root_isolation",
-    "truncation_roots",
     "polynomial_solution",
-    "evaluate_F",
     "ode_residual",
 ]
 
@@ -67,7 +61,9 @@ __all__ = [
 # 1 +/- ROOT_REL_TOL/2 of the true root. Far tighter than float64 needs: the
 # leftover c_{n+1}(mu) enters the equation residual multiplied by r^n, so a
 # 1e-13 root still shows ~1e-1 relative residual at the worst (n=10, i=11)
-# point; 1e-25 buries that amplification below the 1e-8 residual contract.
+# point. 1e-25 buries that amplification below the 1e-8 residual contract
+# only up to n ~ 15: the worst l=0 relative residual is 3.5e-11 at n=14 but
+# 7.0e-8 at n=16. Higher orders need a cell that shrinks with n (ROADMAP item 2).
 ROOT_REL_TOL = Fraction(1, 10**25)
 CLOSURE_TOL = 1e-10                  # |c_{n+1}|, |c_{n+2}| relative to max |c_j|
 
@@ -98,14 +94,6 @@ class ReducedProblem:
 
 
 @dataclass(frozen=True)
-class RecurrencePair:
-    """Coefficients of one recurrence step c_{j+2} = A c_{j+1} + B c_j."""
-
-    A: float | Fraction
-    B: float | Fraction
-
-
-@dataclass(frozen=True)
 class TruncationPolynomial:
     """c_{n+1} as an exact polynomial in nu, normalized to c_0 = 1.
 
@@ -120,27 +108,6 @@ class TruncationPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, nu):
-        acc = nu * 0
-        for c in reversed(self.coeffs):
-            acc = acc * nu + c
-        return acc
-
-
-@dataclass(frozen=True)
-class RootIsolation:
-    """Outcome of the realness audit for one truncation polynomial.
-
-    ``roots`` are the real roots, refined and sorted strictly decreasing,
-    each certified by an exact sign change over its own disjoint bracket.
-    The Jacobi structure makes every root real, and a root that fails to
-    certify raises RootRefinementFailure, so a returned audit always holds
-    ``degree`` roots.
-    """
-
-    roots: tuple[float, ...]
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -167,33 +134,6 @@ class TruncationSolution:
     @property
     def s(self) -> int:
         return abs(self.l)
-
-
-def recurrence_coeffs(j: int, s: int, nu, W) -> RecurrencePair:
-    """Recurrence pair (A_j, B_j) for c_{j+2} = A_j c_{j+1} + B_j c_j.
-
-    Exact when nu and W are Fractions; float otherwise. Valid for all
-    j >= -1, s >= 0 (denominators cannot vanish there).
-    """
-    if j < -1:
-        raise ValueError(f"recurrence index j={j} must be >= -1")
-    if s < 0:
-        raise ValueError(f"s={s} must be >= 0")
-    den = (j + 2) * (j + 2 * (s + 1))
-    A = nu * (2 * j + 2 * s + 3) / (2 * den)
-    B = -(4 * W - 8 * j + nu * nu - 8 * (s + 1)) / (4 * den)
-    return RecurrencePair(A=A, B=B)
-
-
-def series_coeffs(n_terms: int, s: int, nu, W) -> list:
-    """Series coefficients c_0..c_{n_terms} with c_0 = 1, c_{-1} = 0."""
-    coeffs = [1]
-    prev = 0
-    for j in range(-1, n_terms - 1):
-        pair = recurrence_coeffs(j, s, nu, W)
-        coeffs.append(pair.A * coeffs[-1] + pair.B * prev)
-        prev = coeffs[-2]
-    return coeffs
 
 
 def truncation_energy(n: int, s: int, nu):
@@ -331,18 +271,13 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
     return tuple(records)
 
 
-def root_isolation(n: int, l: int) -> RootIsolation:
-    """Realness audit for c_{n+1}: certified real roots and their count."""
-    records = _root_data(n, abs(l))
-    return RootIsolation(roots=tuple(rec.nu for rec in records), degree=n + 1)
-
-
-def truncation_roots(n: int, l: int) -> list[float]:
+def root_isolation(n: int, l: int) -> tuple[float, ...]:
     """All n+1 roots of c_{n+1}(nu), real and strictly decreasing.
 
+    Each is certified by an exact sign change over its own disjoint bracket.
     Raises RootRefinementFailure if any root fails to certify.
     """
-    return list(root_isolation(n, l).roots)
+    return tuple(rec.nu for rec in _root_data(n, abs(l)))
 
 
 @lru_cache(maxsize=None)
@@ -388,16 +323,6 @@ def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
     return TruncationSolution(
         n=n, i=i, l=l, nu_root=rec.nu, W=W, coeffs=tuple(values[: n + 1]),
         _mu=rec.mu)
-
-
-def evaluate_F(sol: TruncationSolution, r: float) -> float:
-    """Radial eigenfunction r^s exp(-r^2/2 - nu r/2) sum_j c_j r^j at finite r > 0."""
-    if not 0 < r < math.inf:
-        raise ValueError(f"r={r} must be finite and > 0")
-    poly = 0.0
-    for c in reversed(sol.coeffs):
-        poly = poly * r + c
-    return r ** sol.s * math.exp(-r * r / 2 - sol.nu_root * r / 2) * poly
 
 
 def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> float:

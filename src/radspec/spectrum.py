@@ -196,7 +196,16 @@ def solve_spectrum(problem: ReducedProblem, config: SolverConfig | None = None
     :class:`DomainTooSmall` if the ground state's tail at the last cell
     centre is not below TAIL_RATIO of its peak over a fixed subset of cells.
     """
-    return _solve(problem, config or SolverConfig(), _shift(problem.nu))
+    config = config or SolverConfig()
+    c = _shift(problem.nu)
+    W, shift, V = _eigensolve(problem, config, c)
+    alpha, beta, *_ = _galerkin(abs(problem.l), c)
+    h = config.domain(problem.nu) / config.grid_points
+    r = (np.arange(1, config.grid_points + 1) - 0.5) * h
+    F = V.T @ _basis_values(abs(problem.l), c, alpha, beta, r)
+    F /= np.sqrt(F * F @ r * h)[:, None]
+    F *= np.sign(F[np.arange(len(W)), np.argmax(np.abs(F), axis=1)])[:, None]
+    return [EigenState(problem.l, problem.nu, j, W[j], shift[j], r, F[j]) for j in range(len(W))]
 
 
 def _eigensolve(problem: ReducedProblem, config: SolverConfig, c: float | None = None
@@ -234,18 +243,6 @@ def _eigensolve(problem: ReducedProblem, config: SolverConfig, c: float | None =
     return W.tolist(), shift.tolist(), V
 
 
-def _solve(problem: ReducedProblem, config: SolverConfig, c: float) -> list[EigenState]:
-    # sampling stage, for callers that read F: the checked eigenvectors on the full grid
-    W, shift, V = _eigensolve(problem, config, c)
-    alpha, beta, *_ = _galerkin(abs(problem.l), c)
-    h = config.domain(problem.nu) / config.grid_points
-    r = (np.arange(1, config.grid_points + 1) - 0.5) * h
-    F = V.T @ _basis_values(abs(problem.l), c, alpha, beta, r)
-    F /= np.sqrt(F * F @ r * h)[:, None]
-    F *= np.sign(F[np.arange(len(W)), np.argmax(np.abs(F), axis=1)])[:, None]
-    return [EigenState(problem.l, problem.nu, j, W[j], shift[j], r, F[j]) for j in range(len(W))]
-
-
 def expectation_r(state: EigenState) -> float:
     """<r> = int r |F|^2 r dr by the midpoint rule on the sampling grid."""
     val = float(np.sum(state.r ** 2 * state.F ** 2) * state.step)
@@ -265,6 +262,8 @@ def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4,
     """
     if delta <= 0:
         raise ValueError(f"delta={delta} must be positive")
+    if j < 0:
+        raise ValueError(f"branch j={j} must be >= 0")
     config = config or SolverConfig()
     if config.levels < j + 1:
         config = replace(config, levels=j + 1)
@@ -272,7 +271,7 @@ def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4,
     c = _shift(problem.nu)
     lo, hi = (_eigensolve(ReducedProblem(problem.l, problem.nu + d), config, c)[0][j]
               for d in (-delta, delta))
-    mid = _solve(problem, config, c)
+    mid = solve_spectrum(problem, config)
     slope = (hi - lo) / (2 * delta)
     rexp = expectation_r(mid[j])
     return HftCheck(dW_dnu=slope, r_expectation=rexp,

@@ -47,8 +47,8 @@ def _edit_roots(monkeypatch, n_bad, edit):
     real = checks.root_isolation
 
     def patched(n, l):
-        iso = real(n, l)
-        return replace(iso, roots=edit(iso.roots)) if n == n_bad else iso
+        roots = real(n, l)
+        return edit(roots) if n == n_bad else roots
 
     monkeypatch.setattr(checks, "root_isolation", patched)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -49,6 +50,19 @@ def test_truncate_json(runner):
                                "--format", "json"])
     payload = json.loads(res.output)
     assert payload == [{"l": 0, "n": 0, "i": 1, "nu": 0.0, "W": 2.0}]
+
+
+@pytest.mark.parametrize("l,digest", [
+    (0, "9dd17f292823d7f6afbfa2bcd6bd83b1601db53d4d1ca34f48c648ee90651c5d"),
+    (1, "5c862744740fec138eb618dd8a81dbc9d9bcc7bd8bed0fc62956ee37b5c582f6"),
+    (2, "2a66d3d34bbe985430f4d61ef0c34b79f4c1e83f1d54eb36d8923316fa053af2"),
+], ids=["l=0", "l=1", "l=2"])
+def test_truncate_csv_bytes_are_pinned(runner, l, digest):
+    # each root is an exact dyadic cell rounded once (math.sqrt, float(Fraction)),
+    # so these bytes do not depend on the platform
+    res = runner.invoke(main, ["truncate", "--l", str(l), "--n-max", "22", "--i-max", "23"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
 def test_csv_round_trip_is_byte_identical(runner):
@@ -272,6 +286,13 @@ def test_energy_theta_sweep_is_continuous(runner):
 def test_energy_without_inputs_is_usage_error(runner):
     res = runner.invoke(main, ["energy"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [["fit"], ["energy", "--theta", "2"]], ids=["fit", "energy"])
+def test_negative_branch_is_usage_error(runner, args):
+    res = runner.invoke(main, [*args, "--branch", "-1"])
+    assert res.exit_code == 2
+    assert "--branch" in res.output
 
 
 # --- config file -------------------------------------------------------------

@@ -1,37 +1,71 @@
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from radspec import frobenius
 from radspec.frobenius import (
     IndexOutOfRange,
+    ReducedProblem,
     RootRefinementFailure,
     cnp1_polynomial,
-    evaluate_F,
     ode_residual,
     polynomial_solution,
-    recurrence_coeffs,
     root_isolation,
-    series_coeffs,
     truncation_energy,
-    truncation_roots,
 )
+from radspec.spectrum import SolverConfig, solve_spectrum
 
 ROOT_83 = math.sqrt(8.0 / 3.0)
 
 
 # --- recurrence --------------------------------------------------------------
 
+class _RecurrencePair(NamedTuple):
+    """Coefficients of one recurrence step c_{j+2} = A c_{j+1} + B c_j."""
+
+    A: float | Fraction
+    B: float | Fraction
+
+
+def _recurrence_coeffs(j, s, nu, W):
+    """Reference recurrence in nu and a free W: (A_j, B_j) for c_{j+2} = A_j c_{j+1} + B_j c_j.
+
+    Exact when nu and W are Fractions; float otherwise. Valid for all
+    j >= -1, s >= 0 (denominators cannot vanish there).
+    """
+    if j < -1:
+        raise ValueError(f"recurrence index j={j} must be >= -1")
+    if s < 0:
+        raise ValueError(f"s={s} must be >= 0")
+    den = (j + 2) * (j + 2 * (s + 1))
+    A = nu * (2 * j + 2 * s + 3) / (2 * den)
+    B = -(4 * W - 8 * j + nu * nu - 8 * (s + 1)) / (4 * den)
+    return _RecurrencePair(A=A, B=B)
+
+
+def _series_coeffs(n_terms, s, nu, W):
+    """Series coefficients c_0..c_{n_terms} with c_0 = 1, c_{-1} = 0."""
+    coeffs = [1]
+    prev = 0
+    for j in range(-1, n_terms - 1):
+        pair = _recurrence_coeffs(j, s, nu, W)
+        coeffs.append(pair.A * coeffs[-1] + pair.B * prev)
+        prev = coeffs[-2]
+    return coeffs
+
+
 def test_recurrence_first_step_is_nu_over_two():
-    pair = recurrence_coeffs(-1, 0, Fraction(3), Fraction(5))
+    pair = _recurrence_coeffs(-1, 0, Fraction(3), Fraction(5))
     assert pair.A == Fraction(3, 2)
 
 
 def test_recurrence_ground_state_kills_both():
     # s=0, nu=0, W=2: the order-0 truncation, both coefficients vanish
-    pair = recurrence_coeffs(0, 0, 0.0, 2.0)
+    pair = _recurrence_coeffs(0, 0, 0.0, 2.0)
     assert pair.A == 0
     assert pair.B == 0
 
@@ -40,7 +74,7 @@ def test_recurrence_truncated_B_is_nu_independent():
     """With W pinned by order-n truncation, B_j collapses to 2(j-n)/den."""
     for nu in (Fraction(0), Fraction(7, 3), Fraction(-2)):
         W = truncation_energy(1, 0, nu)
-        pair = recurrence_coeffs(0, 0, nu, W)
+        pair = _recurrence_coeffs(0, 0, nu, W)
         assert pair.B == Fraction(-1, 2)
 
 
@@ -50,10 +84,10 @@ def test_recurrence_identity_exact():
         s = rng.randrange(0, 4)
         nu = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
         W = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
-        c = series_coeffs(8, s, nu, W)
+        c = _series_coeffs(8, s, nu, W)
         assert c[0] == 1
         for j in range(-1, 6):
-            pair = recurrence_coeffs(j, s, nu, W)
+            pair = _recurrence_coeffs(j, s, nu, W)
             lhs = c[j + 2]
             rhs = pair.A * c[j + 1] + pair.B * (c[j] if j >= 0 else 0)
             assert lhs == rhs
@@ -61,22 +95,22 @@ def test_recurrence_identity_exact():
 
 def test_recurrence_rejects_bad_indices():
     with pytest.raises(ValueError):
-        recurrence_coeffs(-2, 0, 1.0, 1.0)
+        _recurrence_coeffs(-2, 0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        recurrence_coeffs(0, -1, 1.0, 1.0)
+        _recurrence_coeffs(0, -1, 1.0, 1.0)
 
 
 def test_series_c1_vanishes_at_zero_coupling():
-    assert series_coeffs(1, 0, 0.0, 17.0)[1] == 0
+    assert _series_coeffs(1, 0, 0.0, 17.0)[1] == 0
 
 
 def test_series_c1_closed_form_any_s():
     # c_1 = nu/2 regardless of s or W
-    assert series_coeffs(1, 1, 2.0, -3.0)[1] == pytest.approx(1.0)
+    assert _series_coeffs(1, 1, 2.0, -3.0)[1] == pytest.approx(1.0)
 
 
 def test_series_c2_vanishes_at_first_root():
-    c = series_coeffs(2, 0, ROOT_83, 10.0 / 3.0)
+    c = _series_coeffs(2, 0, ROOT_83, 10.0 / 3.0)
     assert abs(c[2]) < 1e-15
 
 
@@ -99,7 +133,7 @@ def test_cnp1_order_one():
     # proportional to 3 nu^2 - 8: exact coefficients (-1/2, 0, 3/16)
     poly = cnp1_polynomial(1, 0)
     assert poly.coeffs == (Fraction(-1, 2), Fraction(0), Fraction(3, 16))
-    assert poly(Fraction(2)) == Fraction(1, 4)
+    assert _horner(poly.coeffs, Fraction(2)) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("l", [0, 1, 2])
@@ -114,11 +148,11 @@ def test_cnp1_degree_parity_leading_sign(l):
 
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_mu_recurrence_matches_public_recurrence(s):
-    """c_{n+1}(nu) and every c_j = d_j(nu^2) nu^(j mod 2) equal series_coeffs exactly."""
+    """c_{n+1}(nu) and every c_j = d_j(nu^2) nu^(j mod 2) equal _series_coeffs exactly."""
     for nu in (Fraction(1, 3), Fraction(7, 2), Fraction(-5, 4)):
         for n in range(0, 23):
-            c = series_coeffs(n + 2, s, nu, truncation_energy(n, s, nu))
-            assert cnp1_polynomial(n, s)(nu) == c[n + 1]
+            c = _series_coeffs(n + 2, s, nu, truncation_energy(n, s, nu))
+            assert _horner(cnp1_polynomial(n, s).coeffs, nu) == c[n + 1]
             D, E = frobenius._series_at_root(n, s, nu * nu)
             assert [Fraction(Dj, E) * nu ** (j % 2) for j, Dj in enumerate(D)] == c
 
@@ -128,11 +162,10 @@ def test_cnp1_rejects_negative_order():
         cnp1_polynomial(-1, 0)
 
 
-@pytest.mark.parametrize("call", [lambda: truncation_roots(-1, 0), lambda: root_isolation(-2, 1),
+@pytest.mark.parametrize("call", [lambda: root_isolation(-2, 1),
                                   lambda: polynomial_solution(-1, 1, 0),
                                   lambda: cnp1_polynomial(-1, 0)],
-                         ids=["truncation_roots", "root_isolation", "polynomial_solution",
-                              "cnp1_polynomial"])
+                         ids=["root_isolation", "polynomial_solution", "cnp1_polynomial"])
 def test_negative_order_raises_value_error(call):
     with pytest.raises(ValueError, match="must be >= 0"):
         call()
@@ -141,16 +174,16 @@ def test_negative_order_raises_value_error(call):
 # --- roots -------------------------------------------------------------------
 
 def test_roots_order_zero():
-    assert truncation_roots(0, 0) == [0.0]
+    assert root_isolation(0, 0) == (0.0,)
 
 
 def test_roots_order_one():
-    roots = truncation_roots(1, 0)
+    roots = root_isolation(1, 0)
     assert roots == pytest.approx([ROOT_83, -ROOT_83], rel=1e-12)
 
 
 def test_roots_order_two_symmetric_triple():
-    roots = truncation_roots(2, 0)
+    roots = root_isolation(2, 0)
     assert len(roots) == 3
     assert roots[1] == 0.0
     assert roots[0] == pytest.approx(-roots[2], rel=1e-12)
@@ -161,22 +194,21 @@ def test_roots_order_two_symmetric_triple():
 def test_realness_audit_full_count(l):
     """n+1 disjoint sign-change brackets certify every root at each tested order."""
     for n in range(0, 23):
-        iso = root_isolation(n, l)
-        assert iso.degree == n + 1
-        assert len(iso.roots) == n + 1
-        assert all(a > b for a, b in zip(iso.roots, iso.roots[1:]))
+        roots = root_isolation(n, l)
+        assert len(roots) == n + 1
+        assert all(a > b for a, b in zip(roots, roots[1:]))
 
 
 def test_roots_satisfy_polynomial():
     for n, l in ((5, 0), (12, 1), (22, 2), (30, 0), (40, 1), (40, 2)):
         poly = cnp1_polynomial(n, l)
-        roots = truncation_roots(n, l)
+        roots = root_isolation(n, l)
         assert len(roots) == n + 1
         assert all(a > b for a, b in zip(roots, roots[1:]))
         for nu in roots:
             # scale by the largest monomial magnitude at this nu
             terms = max(abs(float(c) * nu ** k) for k, c in enumerate(poly.coeffs))
-            assert abs(poly(nu)) <= 1e-10 * max(terms, 1.0)
+            assert abs(_horner(poly.coeffs, nu)) <= 1e-10 * max(terms, 1.0)
 
 
 def _horner(coeffs, x):
@@ -294,7 +326,7 @@ def test_stalled_refinement_raises_instead_of_hanging(monkeypatch):
 
 def test_root_symmetry_under_negation():
     for n in range(0, 23):
-        roots = truncation_roots(n, 0)
+        roots = root_isolation(n, 0)
         mirrored = sorted((-r for r in roots), reverse=True)
         assert roots == pytest.approx(mirrored, abs=1e-12)
         has_zero = any(r == 0.0 for r in roots)
@@ -337,7 +369,7 @@ def test_solution_closure_against_float_recurrence():
         c = list(sol.coeffs)
         prev = 0.0
         for j in range(n - 1, n + 1):
-            pair = recurrence_coeffs(j, sol.s, sol.nu_root, sol.W)
+            pair = _recurrence_coeffs(j, sol.s, sol.nu_root, sol.W)
             nxt = pair.A * c[-1] + pair.B * (c[j] if j >= 0 else prev)
             c.append(nxt)
         scale = max(abs(v) for v in sol.coeffs)
@@ -364,36 +396,59 @@ def test_parabola_family_orders_against_nu():
 
 # --- eigenfunction and residual ----------------------------------------------
 
+def _evaluate_F(sol, r):
+    """Reference eigenfunction r^s exp(-r^2/2 - nu r/2) sum_j c_j r^j at finite r > 0."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"r={r} must be finite and > 0")
+    poly = 0.0
+    for c in reversed(sol.coeffs):
+        poly = poly * r + c
+    return r ** sol.s * math.exp(-r * r / 2 - sol.nu_root * r / 2) * poly
+
+
 def test_evaluate_ground_state_at_one():
     sol = polynomial_solution(0, 1, 0)
-    assert evaluate_F(sol, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert _evaluate_F(sol, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 def test_evaluate_first_excited_at_one():
     sol = polynomial_solution(1, 1, 0)
     expected = (1 + ROOT_83 / 2) * math.exp(-0.5 - ROOT_83 / 2)
     assert expected == pytest.approx(0.4869533794903721, rel=1e-14)
-    assert evaluate_F(sol, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert _evaluate_F(sol, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_evaluate_vanishes_like_r_to_s():
     sol = polynomial_solution(0, 1, 2)
-    small = evaluate_F(sol, 1e-6)
+    small = _evaluate_F(sol, 1e-6)
     assert small == pytest.approx(1e-12 * sol.coeffs[0], rel=1e-4)
 
 
 def test_evaluate_rejects_nonpositive_r():
     sol = polynomial_solution(0, 1, 0)
     with pytest.raises(ValueError):
-        evaluate_F(sol, 0.0)
+        _evaluate_F(sol, 0.0)
     with pytest.raises(ValueError):
-        evaluate_F(sol, -1.0)
+        _evaluate_F(sol, -1.0)
 
 
 @pytest.mark.parametrize("r", [math.inf, math.nan])
 def test_evaluate_rejects_non_finite_r(r):
     with pytest.raises(ValueError, match="finite"):
-        evaluate_F(polynomial_solution(0, 1, 0), r)
+        _evaluate_F(polynomial_solution(0, 1, 0), r)
+
+
+@pytest.mark.parametrize("n,i,l", [(1, 1, 0), (3, 1, 0), (4, 2, 1), (6, 3, 2), (10, 1, 0),
+                                   (12, 3, 0), (2, 2, 0), (4, 5, 0), (6, 7, 1)])
+def test_truncation_eigenfunction_matches_eigensolver(n, i, l):
+    """At a truncation root both routes give the same eigenfunction, not only the
+    same W: the series, sampled on the solver's grid and normalized as EigenState.F."""
+    sol = polynomial_solution(n, i, l)
+    state = solve_spectrum(ReducedProblem(l, sol.nu_root), SolverConfig(levels=i))[i - 1]
+    F = np.array([_evaluate_F(sol, r) for r in state.r])
+    F /= np.sqrt(np.sum(F * F * state.r) * state.step)
+    F *= np.sign(F[np.argmax(np.abs(F))])
+    assert np.max(np.abs(F - state.F)) <= 1e-8 * np.max(np.abs(F))
 
 
 def test_residual_ground_state():

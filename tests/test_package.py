@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import radspec
 from radspec import analysis, frobenius, spectrum
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_all_names_resolve_and_match_module_lists():
@@ -23,3 +25,11 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_readme_library_example_runs():
+    # the README must not keep a name the package dropped
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -213,6 +213,12 @@ def test_hft_rejects_bad_delta():
         hft_check(ReducedProblem(0, 0.0), 0, delta=0.0)
 
 
+def test_hft_rejects_negative_branch():
+    # W[j] would index from the end: j = -1 would silently check the last level
+    with pytest.raises(ValueError, match="j=-1"):
+        hft_check(ReducedProblem(0, 0.0), -1)
+
+
 # --- curve scan --------------------------------------------------------------
 
 def test_curve_scan_intercepts():
