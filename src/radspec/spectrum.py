@@ -67,8 +67,9 @@ class SolverConfig:
     Eigenvalues and every check come from the Galerkin matrix; a level is
     accepted when its Ritz shift is below ``convergence_tol * max(1, |W|)``.
     ``r_max`` and ``grid_points`` set the cell-centred grid that eigenfunctions
-    are sampled on when a caller reads them, and whose last cell and ~250
-    others the tail check reads; ``r_max=None`` means max(12, |nu|/2 + 12).
+    are sampled on when a caller reads them, and whose last cell centre the
+    tail check reads; ``r_max=None`` means max(12, |nu|/2 + 12). Floats must
+    be finite and positive, ``grid_points`` and ``levels`` integers.
     """
 
     r_max: float | None = None
@@ -77,14 +78,14 @@ class SolverConfig:
     convergence_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.r_max is not None and self.r_max <= 0:
-            raise ValueError(f"r_max={self.r_max} must be positive")
-        if self.grid_points < 100:
-            raise ValueError(f"grid_points={self.grid_points} must be >= 100")
-        if self.levels < 1:
-            raise ValueError(f"levels={self.levels} must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError(f"convergence_tol={self.convergence_tol} must be positive")
+        for name, least in (("grid_points", 100), ("levels", 1)):
+            value = getattr(self, name)     # an integer is what operator.index accepts
+            if not hasattr(type(value), "__index__") or value < least:
+                raise ValueError(f"{name}={value!r} must be an integer >= {least}")
+        if self.r_max is not None and not 0 < self.r_max < math.inf:
+            raise ValueError(f"r_max={self.r_max} must be finite and > 0")
+        if not 0 < self.convergence_tol < math.inf:
+            raise ValueError(f"convergence_tol={self.convergence_tol} must be finite and > 0")
 
     def domain(self, nu: float) -> float:
         if self.r_max is not None:
@@ -95,8 +96,9 @@ class SolverConfig:
 def _basis_values(s: int, c: float, alpha: np.ndarray, beta: np.ndarray,
                   r: np.ndarray) -> np.ndarray:
     """F_k(r) = r^s exp(-(r-c)^2/2) p_k(r), one row per k, with the p_k given by
-    r p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1}, p_0 = 1 / beta[0]."""
-    F = np.empty((BASIS_SIZE, len(r)))
+    r p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1}, p_0 = 1 / beta[0].
+    A scalar r gives one value per k, by the same arithmetic as an array."""
+    F = np.empty((BASIS_SIZE,) + np.shape(r))
     F[0] = np.exp(s * np.log(r) - (r - c) ** 2 / 2) / beta[0]
     F[1] = (r - alpha[0]) * F[0] / beta[1]
     for k in range(1, BASIS_SIZE - 1):
@@ -114,9 +116,11 @@ _gauss_legendre = lru_cache(maxsize=1)(leggauss)
 
 
 @lru_cache(maxsize=128)
-def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float,
+                                          np.ndarray, np.ndarray]:
     """The recurrence (alpha, beta) of the (s, c) basis, its Galerkin matrix at
-    nu = 0, J, and the largest |<F_k, F_l> - delta_kl| on the quadrature."""
+    nu = 0, J, the largest |<F_k, F_l> - delta_kl| on the quadrature, and the
+    quadrature nodes x with the basis values F there (one row per k)."""
     t, wt = _gauss_legendre(QUAD_NODES)
     # outside [c - 13, c + sqrt(2s+1) + 13] the weight is below e^-169 of its peak
     lo, hi = max(0.0, c - 13.0), c + math.sqrt(2 * s + 1) + 13.0
@@ -140,7 +144,7 @@ def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         C = 2 * np.diag(beta[1:], -1) - (2 * s + 1) * np.tril(B, -1)
         A0 = C @ C.T + (2 * s + 2 - c * c) * np.eye(BASIS_SIZE) - (2 * s + 1) * c * B + 2 * c * J
         defect = np.max(np.abs((F * (wq * x)) @ F.T - np.eye(BASIS_SIZE)))
-    return alpha, beta, A0, J, float(defect)
+    return alpha, beta, A0, J, float(defect), x, F
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +197,9 @@ def solve_spectrum(problem: ReducedProblem, config: SolverConfig | None = None
 
     Raises :class:`NotConverged` if a Ritz shift reaches the tolerance, the
     basis is off orthonormal by GRAM_TOL or anything is non-finite, and
-    :class:`DomainTooSmall` if the ground state's tail at the last cell
-    centre is not below TAIL_RATIO of its peak over a fixed subset of cells.
+    :class:`DomainTooSmall` if the ground state's tail at the last cell centre
+    is not below TAIL_RATIO of its peak there and at quadrature nodes <= r_max,
+    and :class:`SolverError` if a state underflows in every cell of the grid.
     """
     config = config or SolverConfig()
     c = _shift(problem.nu)
@@ -203,7 +208,11 @@ def solve_spectrum(problem: ReducedProblem, config: SolverConfig | None = None
     h = config.domain(problem.nu) / config.grid_points
     r = (np.arange(1, config.grid_points + 1) - 0.5) * h
     F = V.T @ _basis_values(abs(problem.l), c, alpha, beta, r)
-    F /= np.sqrt(F * F @ r * h)[:, None]
+    norm = F * F @ r * h
+    if not np.all(norm > 0):     # every cell centre lies where the states underflow
+        raise SolverError(f"every cell of the {config.grid_points}-cell grid to r_max="
+                          f"{config.domain(problem.nu):g} misses a state at {problem}")
+    F /= np.sqrt(norm)[:, None]
     F *= np.sign(F[np.arange(len(W)), np.argmax(np.abs(F), axis=1)])[:, None]
     return [EigenState(problem.l, problem.nu, j, W[j], shift[j], r, F[j]) for j in range(len(W))]
 
@@ -215,7 +224,7 @@ def _eigensolve(problem: ReducedProblem, config: SolverConfig, c: float | None =
     l, nu, k = problem.l, problem.nu, config.levels
     c = _shift(nu) if c is None else c
     at = f"l={l}, nu={nu:g}, shift c={c:g}"
-    alpha, beta, A0, J, defect = _galerkin(abs(l), c)
+    alpha, beta, A0, J, defect, x, F = _galerkin(abs(l), c)
     if k > CHECK_SIZE or not defect <= GRAM_TOL:
         raise NotConverged(f"basis cannot resolve {k} levels at {at} "
                            f"(Gram defect {defect:.1e})")
@@ -231,12 +240,12 @@ def _eigensolve(problem: ReducedProblem, config: SolverConfig, c: float | None =
     if not (np.all(shift < tol) and np.all(np.isfinite(V))):
         raise NotConverged(f"Ritz shifts {shift} at {at} are not all below {tol}")
     r_max, n = config.domain(nu), config.grid_points
-    # cells 1, 1 + n // 250, ... and n of the sampling grid: as many for any grid_points
-    r = (np.r_[1:n:max(1, n // 250), n] - 0.5) * (r_max / n)
-    ground = np.abs(V[:, 0] @ _basis_values(abs(l), c, alpha, beta, r))
-    if not ground[-1] < TAIL_RATIO * ground.max():
+    # last cell centre against the peak on the nodes; a numpy scalar, as r_max^2 may overflow
+    tail = abs(V[:, 0] @ _basis_values(abs(l), c, alpha, beta, np.float64(n - 0.5) * (r_max / n)))
+    peak = max(tail, np.max(np.abs(V[:, 0] @ F[:, x <= r_max]), initial=0.0))
+    if not tail < TAIL_RATIO * peak:
         raise DomainTooSmall(
-            f"ground-state tail at r_max={r_max:g} is {ground[-1] / ground.max():.2e} of peak "
+            f"ground-state tail at r_max={r_max:g} is {tail / peak:.2e} of peak "
             f"(require < {TAIL_RATIO:g}); increase r_max")
     if np.any(W[1:] <= W[:-1]):
         raise SolverError(f"eigenvalues not strictly ordered at {at}")

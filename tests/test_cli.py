@@ -118,7 +118,9 @@ def test_spectrum_without_grid_is_usage_error(runner):
     ["--branches", "0"],
     ["--grid-points", "50"],
     ["--r-max", "-1"],
-], ids=["branches", "grid-points", "r-max"])
+    ["--r-max", "nan"],
+    ["--r-max", "inf"],
+], ids=["branches", "grid-points", "r-max", "r-max-nan", "r-max-inf"])
 def test_spectrum_invalid_config_is_domain_error(runner, flags):
     """A rejected solver setting exits 1 with a message, not a traceback."""
     res = runner.invoke(main, ["spectrum", "--nu", "0", *flags])

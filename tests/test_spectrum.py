@@ -48,6 +48,16 @@ def test_config_rejects_bad_fields():
         SolverConfig(convergence_tol=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r_max", math.nan), ("r_max", math.inf),
+    ("convergence_tol", math.nan), ("convergence_tol", math.inf),
+    ("grid_points", 150.5), ("grid_points", 200.0), ("levels", 2.5),
+])
+def test_config_rejects_non_finite_and_non_integer_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
 def test_config_default_domain_grows_with_coupling():
     cfg = SolverConfig()
     assert cfg.domain(0.0) == 12.0
@@ -105,7 +115,7 @@ def test_unreachable_tolerance_raises():
 def test_ritz_values_do_not_increase_with_basis_size():
     """Leading blocks of the Galerkin matrix are the smaller bases' matrices."""
     for l, nu in ((0, 0.0), (1, 3.0), (2, -7.3)):
-        _, _, A0, J, _ = spectrum._galerkin(abs(l), spectrum._shift(nu))
+        _, _, A0, J, *_ = spectrum._galerkin(abs(l), spectrum._shift(nu))
         A = A0 + nu * J
         ritz = [np.linalg.eigvalsh(A[:k, :k])[:3]
                 for k in range(4, spectrum.BASIS_SIZE + 1, 4)]
@@ -303,13 +313,23 @@ def test_eigenvalue_stage_raises_as_solve_spectrum(l, nu, config, error):
         spectrum._eigensolve(ReducedProblem(l, nu), config)
 
 
+def test_grid_that_misses_every_state_raises_instead_of_nan():
+    # first cell centre r = 50: exp(-r^2/2) underflows in every cell, while W is exact
+    problem, config = ReducedProblem(0, 0.0), SolverConfig(r_max=1e4, grid_points=100)
+    assert spectrum._eigensolve(problem, config)[0][0] == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(SolverError, match="misses a state"):
+        solve_spectrum(problem, config)
+    with pytest.raises(SolverError, match="misses a state"):
+        hft_check(problem, 0, config=config)
+
+
 def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
     # curve_scan without eigenfunctions, match_truncation_to_curves, `radspec energy`
-    lengths = []
+    sizes = []
     basis_values = spectrum._basis_values
 
     def recording(s, c, alpha, beta, r):
-        lengths.append(len(r))
+        sizes.append(np.size(r))
         return basis_values(s, c, alpha, beta, r)
 
     monkeypatch.setattr(spectrum, "_basis_values", recording)
@@ -318,6 +338,37 @@ def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
     match_truncation_to_curves([polynomial_solution(4, i, 0) for i in (1, 3)])
     sweep = ["energy", "--theta-min", "1", "--theta-max", "2", "--theta-steps", "3"]
     assert CliRunner().invoke(main, sweep).exit_code == 0
-    assert lengths and max(lengths) < n
+    # one radius per eigensolve; QUAD_NODES only where a _galerkin basis is built
+    assert 1 in sizes and set(sizes) <= {1, spectrum.QUAD_NODES}
     solve_spectrum(ReducedProblem(1, 2.0))     # the recorder sees a sampling solve
-    assert lengths[-1] == n
+    assert sizes[-1] == n
+
+
+def _cell_subset_tail_fails(problem, config):
+    """The tail check on cells 1, 1 + n // 250, ..., n of the sampling grid,
+    which the quadrature-node peak replaced: True where it raised."""
+    c = spectrum._shift(problem.nu)
+    alpha, beta, A0, J, *_ = spectrum._galerkin(abs(problem.l), c)
+    V = np.linalg.eigh(A0 + problem.nu * J)[1]
+    r_max, n = config.domain(problem.nu), config.grid_points
+    r = (np.r_[1:n:max(1, n // 250), n] - 0.5) * (r_max / n)
+    ground = np.abs(V[:, 0] @ spectrum._basis_values(abs(problem.l), c, alpha, beta, r))
+    return not ground[-1] < spectrum.TAIL_RATIO * ground.max()
+
+
+def test_tail_check_decides_as_the_cell_subset_rule():
+    decisions = []
+    for l in (0, 2, 40):
+        for nu in (-5.0, 0.0, 3.0):
+            for r_max in (None, *np.linspace(4.0, 9.0, 11)):
+                for grid_points in (100, 5000):
+                    problem = ReducedProblem(l, nu)
+                    config = SolverConfig(r_max=r_max, grid_points=grid_points)
+                    try:
+                        spectrum._eigensolve(problem, config)
+                        raised = False
+                    except DomainTooSmall:
+                        raised = True
+                    assert raised == _cell_subset_tail_fails(problem, config), (l, nu, r_max)
+                    decisions.append(raised)
+    assert 0 < sum(decisions) < len(decisions)     # the panel has both outcomes
