@@ -60,7 +60,12 @@ def parity(l: int, n_max: int, tol: float) -> Check:
 
 
 def residual(l: int, targets: Sequence[tuple[int, int]], tol: float) -> Check:
-    """Worst exact relative ODE residual of solutions (n, i) at RESIDUAL_RADII."""
+    """Worst exact relative ODE residual of solutions (n, i) at RESIDUAL_RADII.
+
+    Raises ValueError on empty ``targets``: a check over nothing proves nothing.
+    """
+    if not targets:
+        raise ValueError("residual check needs at least one (n, i) target")
     worst, where = 0.0, None
     for n, i in targets:
         sol = polynomial_solution(n, i, l)

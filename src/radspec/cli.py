@@ -140,8 +140,8 @@ def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, grid_points, r_ma
 @click.option("--all", "do_all", is_flag=True)
 @click.option("--l", "ls", type=int, multiple=True,
               help="Momentum scope; repeatable. Default 0 1 2.")
-@click.option("--n-max", type=int, default=12, show_default=True)
-@click.option("--i-max", type=int, default=3, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=0), default=12, show_default=True)
+@click.option("--i-max", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--n", "n_single", type=int, default=None, help="Single order for --residual.")
 @click.option("--i", "i_single", type=int, default=None,
               help="Single root index for --residual; needs --n.")
@@ -162,6 +162,8 @@ def verify(ctx, do_hft, do_match, do_residual, do_all, ls, n_max, i_max,
         raise click.UsageError("select a suite: --hft, --match, --residual or --all")
     if i_single is not None and n_single is None:
         raise click.UsageError("--i needs --n")
+    if n_single is not None and not (do_residual or do_all):
+        raise click.UsageError("--n and --i need --residual or --all")
     ls = list(ls) if ls else [0, 1, 2]
     calls = []
     if do_all:

@@ -334,11 +334,11 @@ def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> f
     phi = -r - nu/2, are formed divided by E, summed, and multiplied by E
     once. Each term is an integer over one common denominator, so the sum is
     exact and rounded once. r and a hand-built record's float fields are
-    dyadic rationals; a solver record gives the exact coefficients and W at
-    its root mu and nu = +/-isqrt(mu 2^320) / 2^160 (its float coefficients
-    alone would cost ~1e-4 of relative residual at the most negative
-    high-order roots). With ``relative`` the residual is scaled by the
-    largest term magnitude.
+    dyadic rationals; a solver record gives W and the c_j exactly at its root
+    mu, with nu = +/-isqrt(mu 2^320) / 2^160, so the closed-form denominator
+    is 2^160 times that of `_series_at_root` (its float coefficients alone
+    would cost ~1e-4 of relative residual at the most negative high-order
+    roots). With ``relative`` the residual is scaled by the largest term.
     """
     if not 0 < r < math.inf:
         raise ValueError(f"r={r} must be finite and > 0")
@@ -349,25 +349,25 @@ def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> f
         for name, value in fields.items():
             if not math.isfinite(value):
                 raise ValueError(f"hand-built solution has non-finite {name}={value}")
-        h, nu_den = sol.nu_root.as_integer_ratio()
-        Wn, Wd = sol.W.as_integer_ratio()
+        (h, nu_den), (Wn, Wd) = sol.nu_root.as_integer_ratio(), sol.W.as_integer_ratio()
         ratios = [c.as_integer_ratio() for c in sol.coeffs]
+        den = max(d for _, d in ratios)            # powers of two: their lcm
+        N = [num << den.bit_length() - d.bit_length() for num, d in ratios]
     else:
         p, q = sol._mu.numerator, sol._mu.denominator
-        h, nu_den = math.isqrt((p << 320) // q), 1 << 160
-        h = h if sol.nu_root >= 0 else -h
+        h, nu_den = math.isqrt((p << 320) // q) * (1 if sol.nu_root >= 0 else -1), 1 << 160
         Wn, Wd = 8 * (n + s + 1) * q - p, 4 * q        # W = 2(n+s+1) - mu/4
         D, E = _series_at_root(n, s, sol._mu)
-        ratios = [(Dj * h, E * nu_den) if j % 2 else (Dj, E) for j, Dj in enumerate(D[: n + 1])]
+        den = E << 160              # c_j = D_j / E, or D_j h / (E 2^160) for odd j
+        N = [Dj * h if j % 2 else Dj << 160 for j, Dj in enumerate(D[: n + 1])]
     X, x_den = r.as_integer_ratio()
     # r = X/2^e, nu = h/2^b, W = Wn/2^w, phi = Phi/2^(e+b+1)
     e, b, w = x_den.bit_length() - 1, nu_den.bit_length() - 1, Wd.bit_length() - 1
-    den = math.lcm(*(d for _, d in ratios))
     A0 = A1 = A2 = 0                    # den 2^(e n) (P, P', P'') by homogeneous Horner
-    for k, (num, d) in enumerate(reversed(ratios)):
+    for k, num in enumerate(reversed(N)):
         A2 = A2 * X + (A1 << e + 1)
         A1 = A1 * X + (A0 << e)
-        A0 = A0 * X + (num * (den // d) << e * k)
+        A0 = A0 * X + (num << e * k)
     g = X ** max(s - 2, 0)
     A0, A1, A2 = A0 * g, A1 * g, A2 * g
     # each term is r^(s-2) times a polynomial in r, phi, nu, W and P, P', P'';
@@ -384,7 +384,7 @@ def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> f
             -(X2 * X2 << S - 4 * e) * A0,
             -(h * X2 * X << S - b - 3 * e) * A0,
             (Wn * X2 << S - w - 2 * e) * A0)
-    common = den * X ** max(2 - s, 0) << e * (len(ratios) - 1 + s - 2) + S
+    common = den * X ** max(2 - s, 0) << e * (len(N) - 1 + s - 2) + S
     resid = sum(nums) / common
     if relative:
         scale = max(map(abs, nums)) / common

@@ -9,6 +9,8 @@ and every structural breach must measure as inf.
 import math
 from dataclasses import replace
 
+import pytest
+
 from radspec import checks
 from radspec.spectrum import HftCheck
 
@@ -33,6 +35,11 @@ def test_parabola_fails_below_its_value():
 
 def test_residual_fails_below_its_value():
     _fails_below_its_value(checks.residual, 0, [(4, 5)])
+
+
+def test_residual_rejects_empty_targets():
+    with pytest.raises(ValueError, match="at least one"):
+        checks.residual(0, [], tol=1.0)
 
 
 def test_hft_fails_below_its_value():

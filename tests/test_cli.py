@@ -151,6 +151,21 @@ def test_verify_residual_index_without_order_is_usage_error(runner):
     assert "--i needs --n" in res.output
 
 
+@pytest.mark.parametrize("suite", ["--residual", "--all", "--match"])
+@pytest.mark.parametrize("scope", [["--n-max", "-1"], ["--i-max", "0"]])
+def test_verify_empty_scope_is_usage_error(runner, suite, scope):
+    res = runner.invoke(main, ["verify", suite, "--l", "0", *scope])
+    assert res.exit_code == 2
+    assert "Invalid value" in res.output and "PASS" not in res.output
+
+
+@pytest.mark.parametrize("single", [["--n", "3"], ["--n", "3", "--i", "2"]])
+def test_verify_single_solution_without_residual_suite_is_usage_error(runner, single):
+    res = runner.invoke(main, ["verify", "--hft", "--nu", "1", "--l", "0", *single])
+    assert res.exit_code == 2
+    assert "--n and --i need --residual or --all" in res.output
+
+
 def test_verify_hft_single_nu_checks_every_l(runner):
     res = runner.invoke(main, ["verify", "--hft", "--l", "1", "--l", "2",
                                "--nu", "1.0"])

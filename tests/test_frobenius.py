@@ -536,11 +536,12 @@ def _fraction_residual(sol, r, relative=False):
     return resid * math.exp(-r * r / 2 - sol.nu_root * r / 2)
 
 
-ORACLE_RADII = (0.05, 0.1, 0.3, 1.0, 2.5, 6.0, 10.0, 2.0 ** -30)
+ORACLE_RADII = (0.05, 0.1, 0.3, 1.0, 2.5, 6.0, 7.525, 10.0, 2.0 ** -30)
 
 
 @pytest.mark.parametrize("n,i,l", [(12, 13, 0), (12, 1, 0), (11, 6, -1), (10, 11, 2),
-                                   (0, 1, 0), (6, 3, 4)])
+                                   (0, 1, 0), (6, 3, 4), (22, 1, 0), (22, 23, 0),
+                                   (16, 17, -2), (15, 8, 1), (21, 22, 2)])
 def test_residual_matches_fraction_oracle(n, i, l):
     """Bit for bit, relative and absolute, on the solver record and on a
     hand-built record holding the same float fields."""
