@@ -40,14 +40,15 @@ class Check:
 
 def parabola(l: int, n_max: int, tol: float) -> Check:
     """Worst |W + nu^2/4 - 2(n+|l|+1)| over every truncation root, n <= n_max."""
-    sols = [polynomial_solution(n, i, l)
-            for n in range(n_max + 1) for i in range(1, n + 2)]
+    sols = truncation_point_set(n_max, n_max + 1, l)     # ValueError if n_max < 0
     worst = max(abs(s.W + s.nu_root ** 2 / 4 - 2 * (s.n + abs(l) + 1)) for s in sols)
     return Check(f"parabola l={l}", worst, tol, f"{len(sols)} roots, n<={n_max}")
 
 
 def parity(l: int, n_max: int, tol: float) -> Check:
-    """Worst |r + r'| / (1 + |r|) over mirrored root pairs, n <= n_max."""
+    """Worst |r + r'| / (1 + |r|) over mirrored root pairs, n <= n_max (ValueError if < 0)."""
+    if n_max < 0:
+        raise ValueError(f"n_max={n_max}: a parity check over no order proves nothing")
     worst = 0.0
     for n in range(n_max + 1):
         roots = root_isolation(n, l)

@@ -8,9 +8,10 @@ the well of r^2 + nu r. Integrating by parts cancels the r^2 and l^2/r^2
 terms and leaves A = D + (2s+2 - c^2) I - (2s+1) c B + (2c + nu) J, with J
 the Jacobi matrix (of r), B the matrix of 1/r and D_kl = <p_k', p_l'>; once
 more by parts, <p_k', p_m> = 2 J_km - (2s+1) B_km for m < k and 0 otherwise,
-so D = C C^T. The p_k recurrence comes from Lanczos iteration with full
-reorthogonalization on a Gauss-Legendre rule (discretized Stieltjes;
-Gautschi, *Orthogonal Polynomials*, 2004). A leading block of A is the
+so D = C C^T. The p_k recurrence comes from one discretized Stieltjes pass
+on a Gauss-Legendre rule (Gautschi, *Orthogonal Polynomials*, 2004, 2.2.3),
+run in the sampling recurrence's operation order (Paige's), so the Gram check
+sees exactly the values that sampling reproduces. A leading block of A is the
 Galerkin matrix of a smaller basis, so by Cauchy interlacing its Ritz values
 lie above those of A: their gap is the convergence check and error estimate.
 
@@ -96,13 +97,13 @@ class SolverConfig:
 def _basis_values(s: int, c: float, alpha: np.ndarray, beta: np.ndarray,
                   r: np.ndarray) -> np.ndarray:
     """F_k(r) = r^s exp(-(r-c)^2/2) p_k(r), one row per k, with the p_k given by
-    r p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1}, p_0 = 1 / beta[0].
-    A scalar r gives one value per k, by the same arithmetic as an array."""
+    r p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1}, p_0 = 1 / beta[0],
+    in _galerkin's order; a scalar r gives one value per k by the same arithmetic."""
     F = np.empty((BASIS_SIZE,) + np.shape(r))
     F[0] = np.exp(s * np.log(r) - (r - c) ** 2 / 2) / beta[0]
-    F[1] = (r - alpha[0]) * F[0] / beta[1]
+    F[1] = (r * F[0] - alpha[0] * F[0]) / beta[1]
     for k in range(1, BASIS_SIZE - 1):
-        F[k + 1] = ((r - alpha[k]) * F[k] - beta[k] * F[k - 1]) / beta[k + 1]
+        F[k + 1] = (r * F[k] - beta[k] * F[k - 1] - alpha[k] * F[k]) / beta[k + 1]
     return F
 
 
@@ -125,25 +126,22 @@ def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     # outside [c - 13, c + sqrt(2s+1) + 13] the weight is below e^-169 of its peak
     lo, hi = max(0.0, c - 13.0), c + math.sqrt(2 * s + 1) + 13.0
     x, wq = lo + (t + 1) * (hi - lo) / 2, wt * (hi - lo) / 2
-    beta, Q = np.empty(BASIS_SIZE), np.empty((QUAD_NODES, BASIS_SIZE))
+    wx = wq * x
+    alpha, beta, F = np.empty(BASIS_SIZE), np.empty(BASIS_SIZE), np.empty((BASIS_SIZE, QUAD_NODES))
     with np.errstate(all="ignore"):
-        # Lanczos on diag(x); Gram-Schmidt twice against all earlier vectors
-        q = np.sqrt(wq * np.exp((2 * s + 1) * np.log(x) - (x - c) ** 2))
-        beta[0] = np.linalg.norm(q)
-        Q[:, 0] = q / beta[0]
-        for k in range(BASIS_SIZE - 1):
-            v = x * Q[:, k]
-            for _ in range(2):
-                v -= Q[:, :k + 1] @ (Q[:, :k + 1].T @ v)
-            beta[k + 1] = np.linalg.norm(v)
-            Q[:, k + 1] = v / beta[k + 1]
-        alpha = np.einsum("ik,i,ik->k", Q, x, Q)
-        F = _basis_values(s, c, alpha, beta, x)
+        # _basis_values' recurrence, alpha and beta measured under <f, g> = sum wq x f g
+        w = np.exp(s * np.log(x) - (x - c) ** 2 / 2)
+        for k in range(BASIS_SIZE):
+            beta[k] = math.sqrt(w * w @ wx)
+            F[k] = w / beta[k]
+            w = x * F[k] - beta[k] * F[k - 1] if k else x * F[k]
+            alpha[k] = w * F[k] @ wx
+            w -= alpha[k] * F[k]
         B = (F * wq) @ F.T
         J = np.diag(alpha) + np.diag(beta[1:], 1) + np.diag(beta[1:], -1)
         C = 2 * np.diag(beta[1:], -1) - (2 * s + 1) * np.tril(B, -1)
         A0 = C @ C.T + (2 * s + 2 - c * c) * np.eye(BASIS_SIZE) - (2 * s + 1) * c * B + 2 * c * J
-        defect = np.max(np.abs((F * (wq * x)) @ F.T - np.eye(BASIS_SIZE)))
+        defect = np.max(np.abs((F * wx) @ F.T - np.eye(BASIS_SIZE)))
     return alpha, beta, A0, J, float(defect), x, F
 
 
