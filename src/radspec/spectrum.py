@@ -264,8 +264,8 @@ def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4,
 
     The slope is the central difference of eigenvalues over nu +- delta;
     <r> is the midpoint rule over the eigenfunction sampled at nu itself,
-    so the two sides are independent. On the default grid the midpoint
-    rule dominates: <= 3.3e-6 for l = 0, 1.7e-8 for l = 1..3 (nu -3..12).
+    so the two sides are independent. On the default grid, nu in -3..12, j <= 2:
+    <= 3.3e-6 for l = 0 (the midpoint rule dominates), 1.6e-8 for l = 1..3.
     """
     if delta <= 0:
         raise ValueError(f"delta={delta} must be positive")

@@ -37,6 +37,14 @@ def test_residual_fails_below_its_value():
     _fails_below_its_value(checks.residual, 0, [(4, 5)])
 
 
+@pytest.mark.parametrize("check, tol", [(checks.parity, 1e-12), (checks.parabola, 1e-10)],
+                         ids=["parity", "parabola"])
+def test_order_checks_reject_empty_scope(check, tol):
+    # a check over no order proves nothing, so it must not pass or fail quietly
+    with pytest.raises(ValueError, match="n_max"):
+        check(0, -1, tol)
+
+
 def test_residual_rejects_empty_targets():
     with pytest.raises(ValueError, match="at least one"):
         checks.residual(0, [], tol=1.0)

@@ -330,6 +330,19 @@ def test_explicit_flag_overrides_config(runner, tmp_path):
 
 # --- figure ------------------------------------------------------------------
 
+def test_figure_exact_outputs_are_pinned(runner, tmp_path):
+    # points.csv and parabola.csv come from the exact route alone, so eigensolver
+    # round-off, which moves curves.csv, must leave their bytes unchanged
+    res = runner.invoke(main, ["figure", "--out-dir", str(tmp_path), "--curve-samples", "5"])
+    assert res.exit_code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("points.csv", "parabola.csv")}
+    assert digests == {
+        "points.csv": "829470fae05e4e1f95b08475c1b733e9c31411e8149e6b38cc73ff54d96d4b60",
+        "parabola.csv": "a9f326ca413d0447afa920599b2d43ab0b01a5e517988ea9ce10f28188382d75",
+    }
+
+
 def test_figure_emits_aligned_datasets(runner, tmp_path):
     out = tmp_path / "fig"
     res = runner.invoke(main, ["figure", "--out-dir", str(out),

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from radspec import spectrum
-from radspec.analysis import match_truncation_to_curves
+from radspec.analysis import match_truncation_to_curves, truncation_point_set
 from radspec.cli import main
 from radspec.frobenius import ReducedProblem, polynomial_solution
 from radspec.spectrum import (
@@ -131,6 +131,38 @@ def test_error_estimate_within_tolerance_on_returned_states():
     for l, nu in ((0, 0.0), (1, -11.3), (2, 6.0), (0, 50.0)):
         for st in solve_spectrum(ReducedProblem(l, nu), cfg):
             assert 0.0 <= st.error_estimate and _within_tolerance(st, cfg)
+
+
+# --- basis build -------------------------------------------------------------
+
+@pytest.mark.parametrize("s, c", [(0, 0.0), (1, 0.5), (2, 6.0), (7, 0.0), (30, 10.0), (60, 30.0)])
+def test_galerkin_node_values_are_the_sampling_recurrence(s, c):
+    # one recurrence: the Gram check certifies the values that sampling reproduces
+    alpha, beta, *_, x, F = spectrum._galerkin(s, c)
+    assert np.array_equal(F, spectrum._basis_values(s, c, alpha, beta, x))
+
+
+def test_galerkin_gram_defect_stays_at_round_off():
+    defects = [spectrum._galerkin(s, c / 2)[4] for s in range(0, 61, 5) for c in range(0, 61, 5)]
+    assert max(defects) <= 1e-13
+
+
+# --- accuracy at exact values ------------------------------------------------
+
+def test_oscillator_levels_within_round_off():
+    # W = 2(2j + |l| + 1) at nu = 0; worst about 3e-12, at l = 0, j = 2
+    for l in (0, 1, 2, 3, 4, 5, 10, 20, 30):
+        for j, curve in enumerate(curve_scan(l, 3, [0.0])):
+            exact = 2 * (2 * j + l + 1)
+            assert abs(curve.W[0] - exact) <= 1e-11 * exact, (l, j)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_truncation_points_within_round_off_of_their_branch(l):
+    # each truncation energy is an exact eigenvalue; worst about 1.6e-12
+    for res in match_truncation_to_curves(truncation_point_set(22, 3, l)).results:
+        assert res.matched_branch == res.i - 1
+        assert res.distance <= 1e-11 * max(1.0, abs(res.W_truncation)), (res.n, res.i)
 
 
 # --- benchmark references (read only) ----------------------------------------
