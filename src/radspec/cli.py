@@ -92,8 +92,8 @@ def main(ctx, config_path):
 
 @main.command()
 @click.option("--l", "l", type=int, default=0, show_default=True)
-@click.option("--n-max", type=int, default=22, show_default=True)
-@click.option("--i-max", type=int, default=3, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=0), default=22, show_default=True)
+@click.option("--i-max", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(allow_dash=True), default="-", show_default=True)
@@ -111,15 +111,11 @@ def truncate(l, n_max, i_max, fmt, out):
               help="Coupling value; repeatable.")
 @click.option("--nu-min", type=float, default=None)
 @click.option("--nu-max", type=float, default=None)
-@click.option("--nu-count", type=int, default=None)
-@click.option("--grid-points", type=int, default=5000, show_default=True)
-@click.option("--r-max", type=float, default=None,
-              help="Eigenfunction sampling cutoff; default grows with |nu|.")
+@click.option("--nu-count", type=click.IntRange(min=1), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(allow_dash=True), default="-", show_default=True)
-def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, grid_points, r_max,
-             fmt, out):
+def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, fmt, out):
     """Emit numeric branch samples (l, j, nu, W)."""
     if nu_values:
         grid = sorted(set(nu_values))
@@ -127,8 +123,7 @@ def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, grid_points, r_ma
         grid = list(np.linspace(nu_min, nu_max, nu_count))
     else:
         raise click.UsageError("give --nu values or --nu-min/--nu-max/--nu-count")
-    config = SolverConfig(r_max=r_max, grid_points=grid_points, levels=branches)
-    curves = curve_scan(l, branches, grid, config)
+    curves = curve_scan(l, branches, grid, SolverConfig(levels=branches))
     rows = [[c.l, c.j, nu, W] for c in curves for nu, W in c.samples]
     _emit_rows(["l", "j", "nu", "W"], rows, fmt, out)
 
@@ -278,7 +273,7 @@ def figure(out_dir, curve_samples):
 @main.command()
 @click.option("--l", "l", type=int, default=0, show_default=True)
 @click.option("--branch", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--n-max", type=int, default=22, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=0), default=22, show_default=True)
 @click.option("--out", type=click.Path(allow_dash=True), default=None,
               help="Also write the fit report as JSON.")
 def fit(l, branch, n_max, out):
@@ -317,7 +312,7 @@ def fit(l, branch, n_max, out):
               help="Map explicit reduced eigenvalues instead of solving.")
 @click.option("--theta-min", type=float, default=None)
 @click.option("--theta-max", type=float, default=None)
-@click.option("--theta-steps", type=int, default=None)
+@click.option("--theta-steps", type=click.IntRange(min=1), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(allow_dash=True), default="-", show_default=True)

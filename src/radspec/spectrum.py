@@ -38,7 +38,8 @@ __all__ = [
     "curve_scan",
 ]
 
-TAIL_RATIO = 1e-12    # required |F(r_max)| / max|F| for the ground state
+TAIL_RATIO = 1e-12    # required |F(last cell)| / max|F| for the sampled ground state
+NORM_TOL = 1e-2       # allowed |midpoint norm - 1| of a sampled state
 BASIS_SIZE = 60       # polynomials in the Galerkin basis
 CHECK_SIZE = BASIS_SIZE - 8   # leading block whose Ritz values check convergence
 QUAD_NODES = 240      # Gauss-Legendre nodes discretizing the weight
@@ -65,12 +66,12 @@ class MonotonicityViolation(SolverError):
 class SolverConfig:
     """Eigensolver settings.
 
-    Eigenvalues and every check come from the Galerkin matrix; a level is
+    Eigenvalues and their checks come from the Galerkin matrix; a level is
     accepted when its Ritz shift is below ``convergence_tol * max(1, |W|)``.
-    ``r_max`` and ``grid_points`` set the cell-centred grid that eigenfunctions
-    are sampled on when a caller reads them, and whose last cell centre the
-    tail check reads; ``r_max=None`` means max(12, |nu|/2 + 12). Floats must
-    be finite and positive, ``grid_points`` and ``levels`` integers.
+    ``r_max`` and ``grid_points`` set the cell-centred grid that
+    :func:`solve_spectrum` samples eigenfunctions on, and whose tail and norm
+    it checks; ``r_max=None`` means max(12, |nu|/2 + 12). Floats must be
+    finite and positive, ``grid_points`` and ``levels`` integers.
     """
 
     r_max: float | None = None
@@ -98,7 +99,7 @@ def _basis_values(s: int, c: float, alpha: np.ndarray, beta: np.ndarray,
                   r: np.ndarray) -> np.ndarray:
     """F_k(r) = r^s exp(-(r-c)^2/2) p_k(r), one row per k, with the p_k given by
     r p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1}, p_0 = 1 / beta[0],
-    in _galerkin's order; a scalar r gives one value per k by the same arithmetic."""
+    in _galerkin's order."""
     F = np.empty((BASIS_SIZE,) + np.shape(r))
     F[0] = np.exp(s * np.log(r) - (r - c) ** 2 / 2) / beta[0]
     F[1] = (r * F[0] - alpha[0] * F[0]) / beta[1]
@@ -173,7 +174,6 @@ class SpectralCurve:
     j: int
     nu: tuple[float, ...]
     W: tuple[float, ...]
-    states: tuple[EigenState, ...] | None = None
 
     @property
     def samples(self) -> list[tuple[float, float]]:
@@ -194,22 +194,29 @@ def solve_spectrum(problem: ReducedProblem, config: SolverConfig | None = None
     """Lowest ``config.levels`` eigenstates at (l, nu), sampled on the config's grid.
 
     Raises :class:`NotConverged` if a Ritz shift reaches the tolerance, the
-    basis is off orthonormal by GRAM_TOL or anything is non-finite, and
-    :class:`DomainTooSmall` if the ground state's tail at the last cell centre
-    is not below TAIL_RATIO of its peak there and at quadrature nodes <= r_max,
-    and :class:`SolverError` if a state underflows in every cell of the grid.
+    basis is off orthonormal by GRAM_TOL or anything is non-finite;
+    :class:`DomainTooSmall` if the sampled ground state at the last cell
+    centre is not below TAIL_RATIO of its peak over the grid; and
+    :class:`SolverError` if a state's midpoint norm is off 1 (exact on the
+    quadrature) by more than NORM_TOL, as when the grid is too coarse for it.
     """
     config = config or SolverConfig()
-    c = _shift(problem.nu)
+    c, r_max = _shift(problem.nu), config.domain(problem.nu)
     W, shift, V = _eigensolve(problem, config, c)
     alpha, beta, *_ = _galerkin(abs(problem.l), c)
-    h = config.domain(problem.nu) / config.grid_points
+    h = r_max / config.grid_points
     r = (np.arange(1, config.grid_points + 1) - 0.5) * h
     F = V.T @ _basis_values(abs(problem.l), c, alpha, beta, r)
+    tail, peak = abs(F[0, -1]), np.max(np.abs(F[0]))
+    if peak > 0 and not tail < TAIL_RATIO * peak:     # a grid of zeros fails the norm check
+        raise DomainTooSmall(
+            f"ground-state tail at r_max={r_max:g} is {tail / peak:.2e} of peak "
+            f"(require < {TAIL_RATIO:g}); increase r_max")
     norm = F * F @ r * h
-    if not np.all(norm > 0):     # every cell centre lies where the states underflow
-        raise SolverError(f"every cell of the {config.grid_points}-cell grid to r_max="
-                          f"{config.domain(problem.nu):g} misses a state at {problem}")
+    off = np.max(np.abs(norm - 1))     # NaN if any norm is
+    if not off <= NORM_TOL:
+        raise SolverError(f"the {config.grid_points}-cell grid to r_max={r_max:g} misses a "
+                          f"state at {problem}: midpoint norm off 1 by {off:.2e}")
     F /= np.sqrt(norm)[:, None]
     F *= np.sign(F[np.arange(len(W)), np.argmax(np.abs(F), axis=1)])[:, None]
     return [EigenState(problem.l, problem.nu, j, W[j], shift[j], r, F[j]) for j in range(len(W))]
@@ -217,12 +224,13 @@ def solve_spectrum(problem: ReducedProblem, config: SolverConfig | None = None
 
 def _eigensolve(problem: ReducedProblem, config: SolverConfig, c: float | None = None
                 ) -> tuple[list[float], list[float], np.ndarray]:
-    """Eigenvalue stage of a solve, with every check: the lowest ``config.levels``
-    eigenvalues W and Ritz shifts (lists) and eigenvectors V (columns) in the c basis."""
+    """Eigenvalue stage of a solve, with every check on the Galerkin matrix: the lowest
+    ``config.levels`` eigenvalues W and Ritz shifts (lists) and eigenvectors V (columns)
+    in the c basis. It samples nothing, so ``config.r_max`` and ``grid_points`` do not matter."""
     l, nu, k = problem.l, problem.nu, config.levels
     c = _shift(nu) if c is None else c
     at = f"l={l}, nu={nu:g}, shift c={c:g}"
-    alpha, beta, A0, J, defect, x, F = _galerkin(abs(l), c)
+    _, _, A0, J, defect, *_ = _galerkin(abs(l), c)
     if k > CHECK_SIZE or not defect <= GRAM_TOL:
         raise NotConverged(f"basis cannot resolve {k} levels at {at} "
                            f"(Gram defect {defect:.1e})")
@@ -237,14 +245,6 @@ def _eigensolve(problem: ReducedProblem, config: SolverConfig, c: float | None =
     tol = config.convergence_tol * np.maximum(1.0, np.abs(W))
     if not (np.all(shift < tol) and np.all(np.isfinite(V))):
         raise NotConverged(f"Ritz shifts {shift} at {at} are not all below {tol}")
-    r_max, n = config.domain(nu), config.grid_points
-    # last cell centre against the peak on the nodes; a numpy scalar, as r_max^2 may overflow
-    tail = abs(V[:, 0] @ _basis_values(abs(l), c, alpha, beta, np.float64(n - 0.5) * (r_max / n)))
-    peak = max(tail, np.max(np.abs(V[:, 0] @ F[:, x <= r_max]), initial=0.0))
-    if not tail < TAIL_RATIO * peak:
-        raise DomainTooSmall(
-            f"ground-state tail at r_max={r_max:g} is {tail / peak:.2e} of peak "
-            f"(require < {TAIL_RATIO:g}); increase r_max")
     if np.any(W[1:] <= W[:-1]):
         raise SolverError(f"eigenvalues not strictly ordered at {at}")
     return W.tolist(), shift.tolist(), V
@@ -286,14 +286,13 @@ def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4,
 
 
 def curve_scan(l: int, branches: int, nu_grid: Sequence[float],
-               config: SolverConfig | None = None,
-               keep_eigenfunctions: bool = False) -> list[SpectralCurve]:
+               config: SolverConfig | None = None) -> list[SpectralCurve]:
     """Sample branches j < branches over a strictly increasing nu grid.
 
-    Eigenvalues at each nu are recomputed from scratch and indexed by
-    sorted order; branches of a fixed l never cross. Eigenfunctions are
-    sampled only for ``keep_eigenfunctions``. Raises
-    :class:`MonotonicityViolation` if any branch fails to increase.
+    Eigenvalues at each nu come from the eigenvalue stage alone, with its
+    checks, and are indexed by sorted order; branches of a fixed l never
+    cross. Nothing is sampled, so ``config.r_max`` and ``grid_points`` do not
+    matter. Raises :class:`MonotonicityViolation` if any branch fails to increase.
     """
     nu_grid = [float(v) for v in nu_grid]
     if any(b <= a for a, b in zip(nu_grid, nu_grid[1:])):
@@ -304,10 +303,7 @@ def curve_scan(l: int, branches: int, nu_grid: Sequence[float],
     if config.levels < branches:
         config = replace(config, levels=branches)
 
-    problems = [ReducedProblem(l, nu) for nu in nu_grid]
-    states = [solve_spectrum(p, config) for p in problems] if keep_eigenfunctions else None
-    levels = ([[st.W for st in sts] for sts in states] if keep_eigenfunctions
-              else [_eigensolve(p, config)[0] for p in problems])
+    levels = [_eigensolve(ReducedProblem(l, nu), config)[0] for nu in nu_grid]
     curves = []
     for j in range(branches):
         W = [Ws[j] for Ws in levels]
@@ -316,7 +312,5 @@ def curve_scan(l: int, branches: int, nu_grid: Sequence[float],
                 raise MonotonicityViolation(
                     f"branch j={j}, l={l} fell from W={wa!r} at nu={na!r} "
                     f"to W={wb!r} at nu={nb!r}")
-        curves.append(SpectralCurve(
-            l=l, j=j, nu=tuple(nu_grid), W=tuple(W),
-            states=tuple(sts[j] for sts in states) if keep_eigenfunctions else None))
+        curves.append(SpectralCurve(l=l, j=j, nu=tuple(nu_grid), W=tuple(W)))
     return curves

@@ -116,17 +116,36 @@ def test_spectrum_without_grid_is_usage_error(runner):
 
 @pytest.mark.parametrize("flags", [
     ["--branches", "0"],
-    ["--grid-points", "50"],
-    ["--r-max", "-1"],
-    ["--r-max", "nan"],
-    ["--r-max", "inf"],
-], ids=["branches", "grid-points", "r-max", "r-max-nan", "r-max-inf"])
+    ["--nu", "nan"],
+], ids=["branches", "nu-nan"])
 def test_spectrum_invalid_config_is_domain_error(runner, flags):
-    """A rejected solver setting exits 1 with a message, not a traceback."""
+    """A rejected solver input exits 1 with a message, not a traceback."""
     res = runner.invoke(main, ["spectrum", "--nu", "0", *flags])
     assert res.exit_code == 1
     assert "error: ValueError" in res.output
     assert not isinstance(res.exception, ValueError)
+
+
+def test_spectrum_exact_where_the_default_grid_cuts_the_tail(runner):
+    # the tail check belongs to sampling; W is exact at l = 40, nu = 0
+    res = runner.invoke(main, ["spectrum", "--l", "40", "--nu", "0"])
+    assert res.exit_code == 0
+    assert [float(r[3]) for r in rows_of(res.output)[1:]] == pytest.approx([82, 86, 90],
+                                                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--nu-min", "0", "--nu-max", "1", "--nu-count", "0"],
+    ["spectrum", "--nu-min", "0", "--nu-max", "1", "--nu-count", "-1"],
+    ["energy", "--theta-min", "1", "--theta-max", "2", "--theta-steps", "0"],
+    ["truncate", "--n-max", "-1"],
+    ["truncate", "--i-max", "0"],
+    ["fit", "--n-max", "-1"],
+], ids=["nu-count-0", "nu-count-neg", "theta-steps-0", "truncate-n-max", "truncate-i-max",
+        "fit-n-max"])
+def test_empty_dataset_request_is_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
 
 
 # --- verify ------------------------------------------------------------------

@@ -172,12 +172,11 @@ def test_scan_lattice_matches_reference(s):
     """Every nu = k/20, |k| <= 242, of the committed curve_scan table to 1e-7."""
     table = _reference("scan.json")["W"][str(s)]
     keys = sorted(int(k) for k in table)
-    curves = curve_scan(s, 3, [k / 20 for k in keys], keep_eigenfunctions=True)
+    # the scan raises NotConverged unless every Ritz shift is within tolerance
+    curves = curve_scan(s, 3, [k / 20 for k in keys])
     got = np.array([c.W for c in curves]).T
     want = np.array([table[str(k)] for k in keys])
     assert np.max(np.abs(got - want)) <= 1e-7
-    cfg = SolverConfig()
-    assert all(_within_tolerance(st, cfg) for c in curves for st in c.states)
 
 
 @pytest.mark.parametrize("probe", _reference("envelope.json")["probes"],
@@ -291,14 +290,6 @@ def test_curve_scan_rejects_unsorted_grid():
         curve_scan(0, 0, [0.0, 1.0])
 
 
-def test_curve_scan_keeps_eigenfunctions_on_request():
-    grid = [0.0, 0.5]
-    bare = curve_scan(0, 1, grid)[0]
-    rich = curve_scan(0, 1, grid, keep_eigenfunctions=True)[0]
-    assert bare.states is None
-    assert rich.states is not None and len(rich.states) == 2
-
-
 def test_monotonicity_guard_is_exercised_by_valid_scan():
     # a correct solver never trips it; the guard exists for solver faults
     try:
@@ -314,11 +305,9 @@ def test_curve_scan_eigenvalues_equal_solve_spectrum(l):
     # the grid crosses the shift jumps at every negative integer nu
     grid = [float(v) for v in np.linspace(-12.1, 12.1, 23)]
     solved = [solve_spectrum(ReducedProblem(l, nu)) for nu in grid]
-    for keep in (False, True):
-        curves = curve_scan(l, 3, grid, keep_eigenfunctions=keep)
-        for j, curve in enumerate(curves):
-            assert curve.W == tuple(sts[j].W for sts in solved)
-            assert all(type(w) is float for w in curve.W)
+    for j, curve in enumerate(curve_scan(l, 3, grid)):
+        assert curve.W == tuple(sts[j].W for sts in solved)
+        assert all(type(w) is float for w in curve.W)
 
 
 def test_match_distances_equal_solve_spectrum():
@@ -339,10 +328,35 @@ def test_match_distances_equal_solve_spectrum():
 def test_eigenvalue_stage_raises_as_solve_spectrum(l, nu, config, error):
     with pytest.raises(error):
         solve_spectrum(ReducedProblem(l, nu), config)
+    if error is DomainTooSmall:
+        # the tail check reads the sampled ground state, so only sampling raises it
+        curve_scan(l, config.levels, [nu], config)
+        spectrum._eigensolve(ReducedProblem(l, nu), config)
+        return
     with pytest.raises(error):
         curve_scan(l, config.levels, [nu], config)
     with pytest.raises(error):
         spectrum._eigensolve(ReducedProblem(l, nu), config)
+
+
+@pytest.mark.parametrize("l", [39, 40, 50, 60])
+def test_eigenvalue_stage_is_exact_at_high_momentum(l):
+    # the default r_max = 12 cuts these ground states' tails, which only sampling reads
+    Ws = spectrum._eigensolve(ReducedProblem(l, 0.0), SolverConfig())[0]
+    scanned = [curve.W[0] for curve in curve_scan(l, 3, [0.0])]
+    for j, (w, v) in enumerate(zip(Ws, scanned)):
+        exact = 2 * (2 * j + l + 1)
+        assert abs(w - exact) <= 1e-12 * exact and abs(v - exact) <= 1e-12 * exact, j
+
+
+@pytest.mark.parametrize("r_max", [200.0, 500.0])
+def test_coarse_grid_raises_instead_of_a_wrong_expectation(r_max):
+    # 100 cells of width 2 or 5 miss the width-1 ground state: <r> read 1.002 and 2.5
+    problem, config = ReducedProblem(0, 0.0), SolverConfig(r_max=r_max, grid_points=100)
+    with pytest.raises(SolverError, match="misses a state"):
+        solve_spectrum(problem, config)
+    with pytest.raises(SolverError, match="misses a state"):
+        hft_check(problem, 0, config=config)
 
 
 def test_grid_that_misses_every_state_raises_instead_of_nan():
@@ -356,7 +370,7 @@ def test_grid_that_misses_every_state_raises_instead_of_nan():
 
 
 def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
-    # curve_scan without eigenfunctions, match_truncation_to_curves, `radspec energy`
+    # curve_scan, match_truncation_to_curves, `radspec spectrum`, `radspec energy`
     sizes = []
     basis_values = spectrum._basis_values
 
@@ -368,17 +382,17 @@ def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
     n = SolverConfig().grid_points
     curve_scan(1, 3, [-3.5, 0.0, 2.0])
     match_truncation_to_curves([polynomial_solution(4, i, 0) for i in (1, 3)])
+    assert CliRunner().invoke(main, ["spectrum", "--l", "2", "--nu", "-5"]).exit_code == 0
     sweep = ["energy", "--theta-min", "1", "--theta-max", "2", "--theta-steps", "3"]
     assert CliRunner().invoke(main, sweep).exit_code == 0
-    # one radius per eigensolve; QUAD_NODES only where a _galerkin basis is built
-    assert 1 in sizes and set(sizes) <= {1, spectrum.QUAD_NODES}
+    assert sizes == []
     solve_spectrum(ReducedProblem(1, 2.0))     # the recorder sees a sampling solve
-    assert sizes[-1] == n
+    assert sizes == [n]
 
 
 def _cell_subset_tail_fails(problem, config):
     """The tail check on cells 1, 1 + n // 250, ..., n of the sampling grid,
-    which the quadrature-node peak replaced: True where it raised."""
+    which the check on every cell replaced: True where it raised."""
     c = spectrum._shift(problem.nu)
     alpha, beta, A0, J, *_ = spectrum._galerkin(abs(problem.l), c)
     V = np.linalg.eigh(A0 + problem.nu * J)[1]
@@ -397,7 +411,7 @@ def test_tail_check_decides_as_the_cell_subset_rule():
                     problem = ReducedProblem(l, nu)
                     config = SolverConfig(r_max=r_max, grid_points=grid_points)
                     try:
-                        spectrum._eigensolve(problem, config)
+                        solve_spectrum(problem, config)
                         raised = False
                     except DomainTooSmall:
                         raised = True
