@@ -14,13 +14,13 @@ function of the cyclotron frequency, with no privileged values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .frobenius import TruncationSolution, polynomial_solution
-from .spectrum import ReducedProblem, SolverConfig, _eigensolve, curve_scan
+from .spectrum import ReducedProblem, _eigensolve, curve_scan
 
 __all__ = [
     "PhysicalParams",
@@ -72,8 +72,8 @@ class PhysicalParams:
     """Physical parameters (m, a, theta, varpi, l) of the planar model.
 
     theta is the cyclotron frequency, varpi the rotating-frame angular
-    velocity, a the linear-potential strength. Validity requires m > 0 and
-    alpha^2 = theta^2 + 4 varpi theta > 0.
+    velocity, a the linear-potential strength. Validity requires finite
+    m, a, theta and varpi, m > 0 and alpha^2 = theta^2 + 4 varpi theta > 0.
     """
 
     m: float
@@ -83,6 +83,9 @@ class PhysicalParams:
     l: int
 
     def __post_init__(self):
+        for name in ("m", "a", "theta", "varpi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite")
         if self.m <= 0:
             raise InvalidMass(f"m={self.m} must be positive")
         if self.alpha_sq <= 0:
@@ -185,8 +188,7 @@ def truncation_point_set(n_max: int, i_max: int, l: int) -> list[TruncationSolut
 
 
 def match_truncation_to_curves(points: Sequence[TruncationSolution],
-                               tol: float = 1e-6,
-                               config: SolverConfig | None = None) -> MatchReport:
+                               tol: float = 1e-6) -> MatchReport:
     """Locate each truncation point on the numeric branch ladder.
 
     Solves the spectrum at each point's root with branches up to j = i
@@ -195,11 +197,10 @@ def match_truncation_to_curves(points: Sequence[TruncationSolution],
     """
     if tol <= 0:
         raise ValueError(f"tol={tol} must be positive")
-    base = config or SolverConfig()
     results = []
     for pt in points:
-        cfg = base if base.levels > pt.i else replace(base, levels=pt.i + 1)
-        dists = [abs(w - pt.W) for w in _eigensolve(ReducedProblem(pt.l, pt.nu_root), cfg)[0]]
+        Ws = _eigensolve(ReducedProblem(pt.l, pt.nu_root), pt.i + 1)[0]
+        dists = [abs(w - pt.W) for w in Ws]
         nearest = int(np.argmin(dists))
         results.append(MatchResult(
             n=pt.n, i=pt.i, l=pt.l, nu=pt.nu_root, W_truncation=pt.W,
@@ -253,6 +254,8 @@ def compare_fit_to_published(fit: FitModel, samples: int = 201) -> FitComparison
 
 def map_W_to_E(W: float, p: PhysicalParams) -> float:
     """Physical energy from the reduced eigenvalue: E = alpha W/4 - theta l/2 - l varpi."""
+    if not math.isfinite(W):
+        raise ValueError(f"W={W} must be finite")
     return p.alpha * W / 4 - p.theta * p.l / 2 - p.l * p.varpi
 
 
@@ -273,8 +276,7 @@ def map_nu_to_a(nu: float, p: PhysicalParams) -> float:
 
 def continuity_demonstration(l: int, j: int, nu_interval: tuple[float, float],
                              samples: int, root_tol: float = 1e-9,
-                             n_max: int = 22, i_max: int = 3,
-                             config: SolverConfig | None = None) -> ContinuityTable:
+                             n_max: int = 22, i_max: int = 3) -> ContinuityTable:
     """Sample branch j across an interval and flag truncation abscissae.
 
     Eigenvalues exist at every sampled nu; a row is marked coincident only
@@ -288,7 +290,7 @@ def continuity_demonstration(l: int, j: int, nu_interval: tuple[float, float],
     if samples < 2:
         raise ValueError(f"samples={samples} must be >= 2")
     grid = np.linspace(lo, hi, samples)
-    curve = curve_scan(l, j + 1, grid, config)[j]
+    curve = curve_scan(l, j + 1, grid)[j]
     roots = sorted({pt.nu_root for pt in truncation_point_set(n_max, i_max, l)})
     rows = []
     for nu, W in curve.samples:

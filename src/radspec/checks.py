@@ -3,7 +3,7 @@
 `radspec verify` and the acceptance tests call these same functions, so no
 invariant is implemented twice. Each returns a :class:`Check` that passes
 when its measured ``value <= tol``. A structural breach measures as
-``math.inf``, so no tolerance excuses it: roots not paired as +-r with a
+``math.inf``, which fails under any tolerance, infinite included: roots not paired as +-r with a
 zero root iff n is even, a nonpositive slope or ``<r>``, or a truncation
 point nearer to another branch than i-1.
 """
@@ -30,7 +30,7 @@ class Check:
 
     @property
     def passed(self) -> bool:
-        return self.value <= self.tol
+        return self.value <= self.tol and self.value < math.inf
 
     @property
     def margin(self) -> float:

@@ -43,7 +43,7 @@ from .frobenius import (
     root_isolation,
     truncation_energy,
 )
-from .spectrum import SolverConfig, SolverError, _eigensolve, curve_scan
+from .spectrum import SolverError, _eigensolve, curve_scan
 
 _MODULE_ERRORS = (
     DegenerateFit, InvalidAlpha, InvalidMass, SolverError,
@@ -123,7 +123,7 @@ def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, fmt, out):
         grid = list(np.linspace(nu_min, nu_max, nu_count))
     else:
         raise click.UsageError("give --nu values or --nu-min/--nu-max/--nu-count")
-    curves = curve_scan(l, branches, grid, SolverConfig(levels=branches))
+    curves = curve_scan(l, branches, grid)
     rows = [[c.l, c.j, nu, W] for c in curves for nu, W in c.samples]
     _emit_rows(["l", "j", "nu", "W"], rows, fmt, out)
 
@@ -334,12 +334,11 @@ def energy(m, a, theta, varpi, l, branch, w_values, theta_min, theta_max,
         raise click.UsageError(
             "give --W and --theta, a single --theta, or a sweep "
             "--theta-min/--theta-max/--theta-steps")
-    config = SolverConfig(levels=branch + 1)
     rows = []
     for th in thetas:
         p = PhysicalParams(m=m, a=a, theta=float(th), varpi=varpi, l=l)
         nu = map_physical_to_nu(p)
-        W = _eigensolve(ReducedProblem(l, nu), config)[0][branch]
+        W = _eigensolve(ReducedProblem(l, nu), branch + 1)[0][branch]
         rows.append([float(th), map_W_to_E(W, p)])
     _emit_rows(["theta", "E"], rows, fmt, out)
 

@@ -14,6 +14,9 @@ run in the sampling recurrence's operation order (Paige's), so the Gram check
 sees exactly the values that sampling reproduces. A leading block of A is the
 Galerkin matrix of a smaller basis, so by Cauchy interlacing its Ritz values
 lie above those of A: their gap is the convergence check and error estimate.
+One window, outside which the weight is below e^-169 of its peak, carries both
+the quadrature and the equal cells on which :func:`solve_spectrum` samples the
+states, so the grid follows the states in l and nu with nothing to set.
 
 Each branch W_{j,l}(nu) is continuous and strictly increasing in nu
 (dW/dnu = <r> > 0); the isolated truncation energies of
@@ -23,7 +26,7 @@ Each branch W_{j,l}(nu) is continuous and strictly increasing in nu
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -33,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from .frobenius import ReducedProblem
 
 __all__ = [
-    "SolverConfig", "EigenState", "SpectralCurve", "HftCheck", "SolverError", "NotConverged",
+    "EigenState", "SpectralCurve", "HftCheck", "SolverError", "NotConverged",
     "DomainTooSmall", "MonotonicityViolation", "solve_spectrum", "expectation_r", "hft_check",
     "curve_scan",
 ]
@@ -44,6 +47,8 @@ BASIS_SIZE = 60       # polynomials in the Galerkin basis
 CHECK_SIZE = BASIS_SIZE - 8   # leading block whose Ritz values check convergence
 QUAD_NODES = 240      # Gauss-Legendre nodes discretizing the weight
 GRAM_TOL = 1e-10      # allowed max |<F_k, F_l> - delta_kl| on the quadrature
+CONVERGENCE_TOL = 1e-8    # a level is accepted when its Ritz shift is below this * max(1, |W|)
+GRID_POINTS = 6000    # equal cells over the basis window that solve_spectrum samples on
 
 
 class SolverError(RuntimeError):
@@ -55,44 +60,11 @@ class NotConverged(SolverError):
 
 
 class DomainTooSmall(SolverError):
-    """Ground eigenfunction has not decayed to the tail threshold at r_max."""
+    """Ground eigenfunction has not decayed to the tail threshold at the last cell."""
 
 
 class MonotonicityViolation(SolverError):
     """A branch decreased along increasing nu; signals a solver fault."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Eigensolver settings.
-
-    Eigenvalues and their checks come from the Galerkin matrix; a level is
-    accepted when its Ritz shift is below ``convergence_tol * max(1, |W|)``.
-    ``r_max`` and ``grid_points`` set the cell-centred grid that
-    :func:`solve_spectrum` samples eigenfunctions on, and whose tail and norm
-    it checks; ``r_max=None`` means max(12, |nu|/2 + 12). Floats must be
-    finite and positive, ``grid_points`` and ``levels`` integers.
-    """
-
-    r_max: float | None = None
-    grid_points: int = 5000
-    levels: int = 3
-    convergence_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name, least in (("grid_points", 100), ("levels", 1)):
-            value = getattr(self, name)     # an integer is what operator.index accepts
-            if not hasattr(type(value), "__index__") or value < least:
-                raise ValueError(f"{name}={value!r} must be an integer >= {least}")
-        if self.r_max is not None and not 0 < self.r_max < math.inf:
-            raise ValueError(f"r_max={self.r_max} must be finite and > 0")
-        if not 0 < self.convergence_tol < math.inf:
-            raise ValueError(f"convergence_tol={self.convergence_tol} must be finite and > 0")
-
-    def domain(self, nu: float) -> float:
-        if self.r_max is not None:
-            return self.r_max
-        return max(12.0, abs(nu) / 2 + 12.0)
 
 
 def _basis_values(s: int, c: float, alpha: np.ndarray, beta: np.ndarray,
@@ -114,6 +86,18 @@ def _shift(nu: float) -> float:
     return max(0, math.floor(-nu)) / 2
 
 
+def _window(s: int, c: float) -> tuple[float, float]:
+    """[lo, hi] outside which the (s, c) weight is below e^-169 of its peak."""
+    return max(0.0, c - 13.0), c + math.sqrt(2 * s + 1) + 13.0
+
+
+def _grid(s: int, c: float) -> tuple[np.ndarray, float]:
+    """Cell centres and width of GRID_POINTS equal cells over the (s, c) window."""
+    lo, hi = _window(s, c)
+    h = (hi - lo) / GRID_POINTS
+    return lo + (np.arange(1, GRID_POINTS + 1) - 0.5) * h, h
+
+
 _gauss_legendre = lru_cache(maxsize=1)(leggauss)
 
 
@@ -124,8 +108,7 @@ def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     nu = 0, J, the largest |<F_k, F_l> - delta_kl| on the quadrature, and the
     quadrature nodes x with the basis values F there (one row per k)."""
     t, wt = _gauss_legendre(QUAD_NODES)
-    # outside [c - 13, c + sqrt(2s+1) + 13] the weight is below e^-169 of its peak
-    lo, hi = max(0.0, c - 13.0), c + math.sqrt(2 * s + 1) + 13.0
+    lo, hi = _window(s, c)
     x, wq = lo + (t + 1) * (hi - lo) / 2, wt * (hi - lo) / 2
     wx = wq * x
     alpha, beta, F = np.empty(BASIS_SIZE), np.empty(BASIS_SIZE), np.empty((BASIS_SIZE, QUAD_NODES))
@@ -149,8 +132,9 @@ def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 @dataclass(frozen=True, eq=False)
 class EigenState:
     """One eigenstate: eigenvalue ``W``, its Ritz shift ``error_estimate``, and
-    ``F`` sampled on the cell-centred grid ``r``, normalized so that the
-    midpoint sum for int |F|^2 r dr equals 1 and positive at its peak.
+    ``F`` sampled at the centres ``r`` of GRID_POINTS equal cells over the basis
+    window, normalized so that the midpoint sum for int |F|^2 r dr equals 1 and
+    positive at its peak.
     """
 
     l: int
@@ -163,7 +147,7 @@ class EigenState:
 
     @property
     def step(self) -> float:
-        return float(self.r[1] - self.r[0])
+        return float(self.r[-1] - self.r[0]) / (self.r.size - 1)     # r[0] may be far from 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +173,9 @@ class HftCheck:
     discrepancy: float
 
 
-def solve_spectrum(problem: ReducedProblem, config: SolverConfig | None = None
-                   ) -> list[EigenState]:
-    """Lowest ``config.levels`` eigenstates at (l, nu), sampled on the config's grid.
+def solve_spectrum(problem: ReducedProblem, levels: int = 3) -> list[EigenState]:
+    """Lowest ``levels`` eigenstates at (l, nu), sampled on GRID_POINTS equal
+    cells over the window of the basis that solves them.
 
     Raises :class:`NotConverged` if a Ritz shift reaches the tolerance, the
     basis is off orthonormal by GRAM_TOL or anything is non-finite;
@@ -200,34 +184,34 @@ def solve_spectrum(problem: ReducedProblem, config: SolverConfig | None = None
     :class:`SolverError` if a state's midpoint norm is off 1 (exact on the
     quadrature) by more than NORM_TOL, as when the grid is too coarse for it.
     """
-    config = config or SolverConfig()
-    c, r_max = _shift(problem.nu), config.domain(problem.nu)
-    W, shift, V = _eigensolve(problem, config, c)
-    alpha, beta, *_ = _galerkin(abs(problem.l), c)
-    h = r_max / config.grid_points
-    r = (np.arange(1, config.grid_points + 1) - 0.5) * h
-    F = V.T @ _basis_values(abs(problem.l), c, alpha, beta, r)
+    s, c = abs(problem.l), _shift(problem.nu)
+    W, shift, V = _eigensolve(problem, levels, c)
+    alpha, beta, *_ = _galerkin(s, c)
+    r, h = _grid(s, c)
+    F = V.T @ _basis_values(s, c, alpha, beta, r)
     tail, peak = abs(F[0, -1]), np.max(np.abs(F[0]))
     if peak > 0 and not tail < TAIL_RATIO * peak:     # a grid of zeros fails the norm check
         raise DomainTooSmall(
-            f"ground-state tail at r_max={r_max:g} is {tail / peak:.2e} of peak "
-            f"(require < {TAIL_RATIO:g}); increase r_max")
+            f"ground-state tail at r={r[-1]:g} is {tail / peak:.2e} of peak "
+            f"(require < {TAIL_RATIO:g})")
     norm = F * F @ r * h
     off = np.max(np.abs(norm - 1))     # NaN if any norm is
     if not off <= NORM_TOL:
-        raise SolverError(f"the {config.grid_points}-cell grid to r_max={r_max:g} misses a "
+        raise SolverError(f"the {r.size}-cell grid to r={r[-1] + h / 2:g} misses a "
                           f"state at {problem}: midpoint norm off 1 by {off:.2e}")
     F /= np.sqrt(norm)[:, None]
     F *= np.sign(F[np.arange(len(W)), np.argmax(np.abs(F), axis=1)])[:, None]
     return [EigenState(problem.l, problem.nu, j, W[j], shift[j], r, F[j]) for j in range(len(W))]
 
 
-def _eigensolve(problem: ReducedProblem, config: SolverConfig, c: float | None = None
+def _eigensolve(problem: ReducedProblem, levels: int, c: float | None = None
                 ) -> tuple[list[float], list[float], np.ndarray]:
     """Eigenvalue stage of a solve, with every check on the Galerkin matrix: the lowest
-    ``config.levels`` eigenvalues W and Ritz shifts (lists) and eigenvectors V (columns)
-    in the c basis. It samples nothing, so ``config.r_max`` and ``grid_points`` do not matter."""
-    l, nu, k = problem.l, problem.nu, config.levels
+    ``levels`` eigenvalues W and Ritz shifts (lists) and eigenvectors V (columns) in the
+    c basis. It samples nothing."""
+    if not hasattr(type(levels), "__index__") or levels < 1:     # what operator.index accepts
+        raise ValueError(f"levels={levels!r} must be an integer >= 1")
+    l, nu, k = problem.l, problem.nu, levels
     c = _shift(nu) if c is None else c
     at = f"l={l}, nu={nu:g}, shift c={c:g}"
     _, _, A0, J, defect, *_ = _galerkin(abs(l), c)
@@ -242,7 +226,7 @@ def _eigensolve(problem: ReducedProblem, config: SolverConfig, c: float | None =
         raise NotConverged(f"Galerkin eigensolve failed at {at}: {exc}") from exc
     W, V = W[:k], V[:, :k]
     shift = np.abs(coarse - W)     # one-signed by interlacing, up to round-off
-    tol = config.convergence_tol * np.maximum(1.0, np.abs(W))
+    tol = CONVERGENCE_TOL * np.maximum(1.0, np.abs(W))
     if not (np.all(shift < tol) and np.all(np.isfinite(V))):
         raise NotConverged(f"Ritz shifts {shift} at {at} are not all below {tol}")
     if np.any(W[1:] <= W[:-1]):
@@ -258,52 +242,41 @@ def expectation_r(state: EigenState) -> float:
     return val
 
 
-def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4,
-              config: SolverConfig | None = None) -> HftCheck:
+def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4) -> HftCheck:
     """Check dW_j/dnu = <r> at the given problem point.
 
     The slope is the central difference of eigenvalues over nu +- delta;
     <r> is the midpoint rule over the eigenfunction sampled at nu itself,
-    so the two sides are independent. On the default grid, nu in -3..12, j <= 2:
-    <= 3.3e-6 for l = 0 (the midpoint rule dominates), 1.6e-8 for l = 1..3.
+    so the two sides are independent. For nu in -3..12, j <= 2: <= 1.4e-6
+    for l = 0 (the midpoint rule dominates), 1.6e-8 for l = 1..3.
     """
     if delta <= 0:
         raise ValueError(f"delta={delta} must be positive")
     if j < 0:
         raise ValueError(f"branch j={j} must be >= 0")
-    config = config or SolverConfig()
-    if config.levels < j + 1:
-        config = replace(config, levels=j + 1)
     # one basis for all three solves; the slope must not see a shift jump
     c = _shift(problem.nu)
-    lo, hi = (_eigensolve(ReducedProblem(problem.l, problem.nu + d), config, c)[0][j]
+    lo, hi = (_eigensolve(ReducedProblem(problem.l, problem.nu + d), j + 1, c)[0][j]
               for d in (-delta, delta))
-    mid = solve_spectrum(problem, config)
+    mid = solve_spectrum(problem, j + 1)
     slope = (hi - lo) / (2 * delta)
     rexp = expectation_r(mid[j])
     return HftCheck(dW_dnu=slope, r_expectation=rexp,
                     discrepancy=abs(slope - rexp))
 
 
-def curve_scan(l: int, branches: int, nu_grid: Sequence[float],
-               config: SolverConfig | None = None) -> list[SpectralCurve]:
+def curve_scan(l: int, branches: int, nu_grid: Sequence[float]) -> list[SpectralCurve]:
     """Sample branches j < branches over a strictly increasing nu grid.
 
     Eigenvalues at each nu come from the eigenvalue stage alone, with its
     checks, and are indexed by sorted order; branches of a fixed l never
-    cross. Nothing is sampled, so ``config.r_max`` and ``grid_points`` do not
-    matter. Raises :class:`MonotonicityViolation` if any branch fails to increase.
+    cross. Nothing is sampled. Raises :class:`MonotonicityViolation` if any
+    branch fails to increase.
     """
     nu_grid = [float(v) for v in nu_grid]
     if any(b <= a for a, b in zip(nu_grid, nu_grid[1:])):
         raise ValueError("nu_grid must be strictly increasing")
-    if branches < 1:
-        raise ValueError(f"branches={branches} must be >= 1")
-    config = config or SolverConfig()
-    if config.levels < branches:
-        config = replace(config, levels=branches)
-
-    levels = [_eigensolve(ReducedProblem(l, nu), config)[0] for nu in nu_grid]
+    levels = [_eigensolve(ReducedProblem(l, nu), branches)[0] for nu in nu_grid]
     curves = []
     for j in range(branches):
         W = [Ws[j] for Ws in levels]

@@ -23,7 +23,7 @@ from radspec.analysis import (
 )
 from radspec.cli import main
 from radspec.frobenius import ReducedProblem, polynomial_solution
-from radspec.spectrum import SolverConfig, solve_spectrum
+from radspec.spectrum import solve_spectrum
 
 
 def _report(num, name, ok, detail):
@@ -128,9 +128,8 @@ def test_criterion_9_anti_hft_signature():
     family_decreasing = (nus[0] > 0 and pts[0].W > pts[1].W > pts[2].W)
     branches_increasing = True
     for p in pts:
-        cfg = SolverConfig(levels=p.i)
-        lo = solve_spectrum(ReducedProblem(0, p.nu_root), cfg)[p.i - 1].W
-        hi = solve_spectrum(ReducedProblem(0, p.nu_root + 0.5), cfg)[p.i - 1].W
+        lo = solve_spectrum(ReducedProblem(0, p.nu_root), p.i)[p.i - 1].W
+        hi = solve_spectrum(ReducedProblem(0, p.nu_root + 0.5), p.i)[p.i - 1].W
         branches_increasing = branches_increasing and hi > lo
     ok = family_decreasing and branches_increasing
     _report(9, "anti-HFT signature", ok,

@@ -21,7 +21,6 @@ from radspec.analysis import (
     match_truncation_to_curves,
     truncation_point_set,
 )
-from radspec.spectrum import SolverConfig
 
 ROOT_83 = math.sqrt(8.0 / 3.0)
 
@@ -240,9 +239,3 @@ def test_continuity_rejects_bad_interval():
         continuity_demonstration(0, 0, (1.0, 1.0), 5)
     with pytest.raises(ValueError):
         continuity_demonstration(0, 0, (0.0, 1.0), 1)
-
-
-def test_continuity_respects_custom_config():
-    cfg = SolverConfig(grid_points=2000, convergence_tol=1e-6)
-    table = continuity_demonstration(0, 0, (0.5, 0.6), 3, config=cfg)
-    assert len(table.rows) == 3

@@ -27,6 +27,7 @@ def test_check_passes_iff_value_within_tol():
     assert not checks.Check("x", 1.0 + 1e-12, 1.0, "").passed
     assert not checks.Check("x", math.nan, 1.0, "").passed
     assert not checks.Check("x", math.inf, 1e300, "").passed
+    assert not checks.Check("x", math.inf, math.inf, "").passed     # a breach, under any tol
 
 
 def test_parabola_fails_below_its_value():

@@ -209,6 +209,12 @@ def test_verify_hft_ground_state(runner):
     assert "0.88622" in res.output  # sqrt(pi)/2 from both estimates
 
 
+def test_verify_hft_at_strong_coupling(runner):
+    # the l = 0 states shrink towards r = 0 as nu grows; the grid must resolve them
+    res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--nu", "300"])
+    assert res.exit_code == 0, res.output
+
+
 def test_verify_match_small_scope(runner):
     res = runner.invoke(main, ["verify", "--match", "--l", "0", "--n-max", "3"])
     assert res.exit_code == 0
@@ -317,6 +323,21 @@ def test_energy_theta_sweep_is_continuous(runner):
     Es = [float(r[1]) for r in rows[1:]]
     assert len(Es) == 3
     assert Es[0] < Es[1] < Es[2]
+
+
+@pytest.mark.parametrize("args", [
+    ["--W", "2", "--theta", "nan"],
+    ["--W", "2", "--theta", "inf"],
+    ["--W", "2", "--theta", "1", "--varpi", "inf"],
+    ["--W", "nan", "--theta", "1"],
+    ["--theta", "1", "--m", "inf"],
+    ["--W", "2", "--theta", "1", "--a", "nan"],
+], ids=["theta-nan", "theta-inf", "varpi-inf", "W-nan", "m-inf", "a-nan"])
+def test_energy_non_finite_input_is_domain_error(runner, args):
+    # each printed a nan energy with exit 0 when only m > 0 and alpha^2 > 0 were checked
+    res = runner.invoke(main, ["energy", *args])
+    assert res.exit_code == 1
+    assert "error: ValueError" in res.output
 
 
 def test_energy_without_inputs_is_usage_error(runner):

@@ -17,7 +17,7 @@ from radspec.frobenius import (
     root_isolation,
     truncation_energy,
 )
-from radspec.spectrum import SolverConfig, solve_spectrum
+from radspec.spectrum import solve_spectrum
 
 ROOT_83 = math.sqrt(8.0 / 3.0)
 
@@ -444,7 +444,7 @@ def test_truncation_eigenfunction_matches_eigensolver(n, i, l):
     """At a truncation root both routes give the same eigenfunction, not only the
     same W: the series, sampled on the solver's grid and normalized as EigenState.F."""
     sol = polynomial_solution(n, i, l)
-    state = solve_spectrum(ReducedProblem(l, sol.nu_root), SolverConfig(levels=i))[i - 1]
+    state = solve_spectrum(ReducedProblem(l, sol.nu_root), i)[i - 1]
     F = np.array([_evaluate_F(sol, r) for r in state.r])
     F /= np.sqrt(np.sum(F * F * state.r) * state.step)
     F *= np.sign(F[np.argmax(np.abs(F))])

@@ -14,7 +14,6 @@ from radspec.spectrum import (
     DomainTooSmall,
     MonotonicityViolation,
     NotConverged,
-    SolverConfig,
     SolverError,
     curve_scan,
     expectation_r,
@@ -31,85 +30,81 @@ def _reference(name):
         return json.load(fh)
 
 
-def _within_tolerance(st, cfg):
-    return st.error_estimate <= cfg.convergence_tol * max(1.0, abs(st.W))
+def _within_tolerance(st):
+    return st.error_estimate <= spectrum.CONVERGENCE_TOL * max(1.0, abs(st.W))
 
 
-# --- config validation -------------------------------------------------------
-
-def test_config_rejects_bad_fields():
-    with pytest.raises(ValueError):
-        SolverConfig(r_max=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(grid_points=50)
-    with pytest.raises(ValueError):
-        SolverConfig(levels=0)
-    with pytest.raises(ValueError):
-        SolverConfig(convergence_tol=0.0)
+def _sample_on(monkeypatch, r_max=None, n=5000):
+    """Make solve_spectrum sample on n equal cells over [0, r_max], or over
+    the basis window for r_max=None; returns the grid function."""
+    def grid(s, c):
+        lo, hi = spectrum._window(s, c) if r_max is None else (0.0, r_max)
+        h = (hi - lo) / n
+        return lo + (np.arange(1, n + 1) - 0.5) * h, h
+    monkeypatch.setattr(spectrum, "_grid", grid)
+    return grid
 
 
-@pytest.mark.parametrize("field, value", [
-    ("r_max", math.nan), ("r_max", math.inf),
-    ("convergence_tol", math.nan), ("convergence_tol", math.inf),
-    ("grid_points", 150.5), ("grid_points", 200.0), ("levels", 2.5),
-])
-def test_config_rejects_non_finite_and_non_integer_fields(field, value):
-    with pytest.raises(ValueError, match=field):
-        SolverConfig(**{field: value})
+# --- levels ------------------------------------------------------------------
 
-
-def test_config_default_domain_grows_with_coupling():
-    cfg = SolverConfig()
-    assert cfg.domain(0.0) == 12.0
-    assert cfg.domain(-8.0) == 16.0
-    assert SolverConfig(r_max=30.0).domain(100.0) == 30.0
+def test_levels_must_be_a_positive_integer():
+    problem = ReducedProblem(0, 0.0)
+    for levels in (0, -1, 2.5, 2.0, "3"):
+        for solve in (solve_spectrum, spectrum._eigensolve):
+            with pytest.raises(ValueError, match="levels="):
+                solve(problem, levels)
+        with pytest.raises(ValueError, match="levels="):
+            curve_scan(0, levels, [0.0])
+    assert [st.j for st in solve_spectrum(problem, 1)] == [0]
 
 
 # --- oscillator limit --------------------------------------------------------
 
 def test_oscillator_spectrum_l0():
-    states = solve_spectrum(ReducedProblem(0, 0.0), SolverConfig(levels=3))
+    states = solve_spectrum(ReducedProblem(0, 0.0), 3)
     assert [st.W for st in states] == pytest.approx([2.0, 6.0, 10.0], abs=1e-7)
 
 
 @pytest.mark.parametrize("l", [-3, -2, -1, 0, 1, 2, 3])
 def test_oscillator_spectrum_all_l(l):
     # exact 2-D oscillator ladder W = 2(2j + |l| + 1)
-    states = solve_spectrum(ReducedProblem(l, 0.0), SolverConfig(levels=4))
+    states = solve_spectrum(ReducedProblem(l, 0.0), 4)
     for j, st in enumerate(states):
         assert st.W == pytest.approx(2 * (2 * j + abs(l) + 1), abs=1e-7)
 
 
 def test_ground_state_at_first_truncation_root():
-    states = solve_spectrum(ReducedProblem(0, ROOT_83), SolverConfig(levels=1))
+    states = solve_spectrum(ReducedProblem(0, ROOT_83), 1)
     assert states[0].W == pytest.approx(10.0 / 3.0, abs=1e-6)
 
 
 def test_branches_strictly_ordered():
-    states = solve_spectrum(ReducedProblem(1, 2.5), SolverConfig(levels=4))
+    states = solve_spectrum(ReducedProblem(1, 2.5), 4)
     Ws = [st.W for st in states]
     assert all(a < b for a, b in zip(Ws, Ws[1:]))
     assert [st.j for st in states] == [0, 1, 2, 3]
 
 
 def test_eigenfunction_normalized_under_radial_measure():
-    states = solve_spectrum(ReducedProblem(0, 1.0), SolverConfig(levels=2))
+    states = solve_spectrum(ReducedProblem(0, 1.0), 2)
     for st in states:
         integral = np.sum(st.F ** 2 * st.r) * st.step
         assert integral == pytest.approx(1.0, abs=1e-10)
 
 
-def test_domain_too_small_is_rejected():
+def test_domain_too_small_is_rejected(monkeypatch):
+    _sample_on(monkeypatch, r_max=4.0)
     with pytest.raises(DomainTooSmall):
-        solve_spectrum(ReducedProblem(0, 0.0), SolverConfig(r_max=4.0, levels=1))
+        solve_spectrum(ReducedProblem(0, 0.0), 1)
 
 
-def test_unreachable_tolerance_raises():
+def test_unreachable_tolerance_raises(monkeypatch):
     # Ritz shifts of 3.5e-3 at |W| ~ 940 and 2.7e-6 at |W| ~ 520: truncation
     # error of the basis, far above its round-off of about 1e-12
     for l, nu, tol in ((50, 200.0, 1e-8), (0, 1000.0, 1e-9)):
+        monkeypatch.setattr(spectrum, "CONVERGENCE_TOL", tol)
         with pytest.raises(NotConverged):
-            solve_spectrum(ReducedProblem(l, nu), SolverConfig(convergence_tol=tol))
+            solve_spectrum(ReducedProblem(l, nu))
 
 
 def test_ritz_values_do_not_increase_with_basis_size():
@@ -127,10 +122,9 @@ def test_ritz_values_do_not_increase_with_basis_size():
 
 
 def test_error_estimate_within_tolerance_on_returned_states():
-    cfg = SolverConfig(levels=4)
     for l, nu in ((0, 0.0), (1, -11.3), (2, 6.0), (0, 50.0)):
-        for st in solve_spectrum(ReducedProblem(l, nu), cfg):
-            assert 0.0 <= st.error_estimate and _within_tolerance(st, cfg)
+        for st in solve_spectrum(ReducedProblem(l, nu), 4):
+            assert 0.0 <= st.error_estimate and _within_tolerance(st)
 
 
 # --- basis build -------------------------------------------------------------
@@ -182,30 +176,23 @@ def test_scan_lattice_matches_reference(s):
 @pytest.mark.parametrize("probe", _reference("envelope.json")["probes"],
                          ids=lambda p: f"s{p['s']}-nu{p['nu']:g}")
 def test_envelope_probe_matches_reference(probe):
-    problem = ReducedProblem(probe["s"], probe["nu"])
-    try:
-        Ws = [st.W for st in solve_spectrum(problem)]
-    except DomainTooSmall:
-        # the default r_max = 12 cuts the tail of the s = 60 ground state
-        assert probe["s"] == 60
-        Ws = [st.W for st in solve_spectrum(problem, SolverConfig(r_max=20.0))]
+    Ws = [st.W for st in solve_spectrum(ReducedProblem(probe["s"], probe["nu"]))]
     assert np.max(np.abs(np.array(Ws) - probe["W"])) <= probe["tol"]
 
 
 @pytest.mark.parametrize("nu", [-1000.0, -200.0, 200.0, 1000.0])
 def test_far_couplings_solve_within_tolerance_or_raise(nu):
-    cfg = SolverConfig()
     try:
-        states = solve_spectrum(ReducedProblem(0, nu), cfg)
+        states = solve_spectrum(ReducedProblem(0, nu))
     except SolverError:
         return
-    assert all(_within_tolerance(st, cfg) for st in states)
+    assert all(_within_tolerance(st) for st in states)
 
 
 # --- expectation value -------------------------------------------------------
 
 def test_expectation_gaussian_ground_state():
-    st = solve_spectrum(ReducedProblem(0, 0.0), SolverConfig(levels=1))[0]
+    st = solve_spectrum(ReducedProblem(0, 0.0), 1)[0]
     assert expectation_r(st) == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-6)
 
 
@@ -219,13 +206,13 @@ def test_expectation_first_excited_against_quadrature_oracle():
     num = 0.5 * np.sum(wx * x * x * (1 - x * x) ** 2)
     oracle = num / norm
     assert oracle == pytest.approx(7 * math.sqrt(math.pi) / 8, rel=1e-12)
-    st = solve_spectrum(ReducedProblem(0, 0.0), SolverConfig(levels=2))[1]
+    st = solve_spectrum(ReducedProblem(0, 0.0), 2)[1]
     assert expectation_r(st) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_expectation_positive_everywhere():
     for l, nu in ((0, 0.0), (2, 3.0), (1, -1.5)):
-        for st in solve_spectrum(ReducedProblem(l, nu), SolverConfig(levels=3)):
+        for st in solve_spectrum(ReducedProblem(l, nu), 3):
             assert expectation_r(st) > 0
 
 
@@ -245,8 +232,7 @@ def test_hft_slope_positive_at_strong_coupling():
 
 def test_hft_excited_branch_self_consistent():
     res = hft_check(ReducedProblem(2, 1.0), 1)
-    cfg = SolverConfig()
-    assert res.discrepancy <= max(1e-4, 10 * cfg.convergence_tol / 1e-4)
+    assert res.discrepancy <= max(1e-4, 10 * spectrum.CONVERGENCE_TOL / 1e-4)
 
 
 def test_hft_rejects_bad_delta():
@@ -314,59 +300,82 @@ def test_match_distances_equal_solve_spectrum():
     points = [polynomial_solution(n, i, l) for n, i, l in ((3, 1, 0), (4, 2, 1), (6, 3, 2))]
     report = match_truncation_to_curves(points)
     for pt, res in zip(points, report.results):
-        states = solve_spectrum(ReducedProblem(pt.l, pt.nu_root), SolverConfig(levels=pt.i + 1))
+        states = solve_spectrum(ReducedProblem(pt.l, pt.nu_root), pt.i + 1)
         dists = [abs(st.W - pt.W) for st in states]
         assert res.matched_branch == int(np.argmin(dists))
         assert res.distance == dists[res.matched_branch]
 
 
-@pytest.mark.parametrize("l, nu, config, error", [
-    (40, 0.0, SolverConfig(), DomainTooSmall),
-    (5, 1000.0, SolverConfig(), NotConverged),
-    (0, 0.0, SolverConfig(r_max=6.5), DomainTooSmall),
+@pytest.mark.parametrize("l, nu, r_max, error", [
+    (5, 1000.0, None, NotConverged),
+    (0, 0.0, 6.5, DomainTooSmall),
 ])
-def test_eigenvalue_stage_raises_as_solve_spectrum(l, nu, config, error):
+def test_eigenvalue_stage_raises_as_solve_spectrum(monkeypatch, l, nu, r_max, error):
+    if r_max is not None:
+        _sample_on(monkeypatch, r_max)
     with pytest.raises(error):
-        solve_spectrum(ReducedProblem(l, nu), config)
+        solve_spectrum(ReducedProblem(l, nu))
     if error is DomainTooSmall:
         # the tail check reads the sampled ground state, so only sampling raises it
-        curve_scan(l, config.levels, [nu], config)
-        spectrum._eigensolve(ReducedProblem(l, nu), config)
+        curve_scan(l, 3, [nu])
+        spectrum._eigensolve(ReducedProblem(l, nu), 3)
         return
     with pytest.raises(error):
-        curve_scan(l, config.levels, [nu], config)
+        curve_scan(l, 3, [nu])
     with pytest.raises(error):
-        spectrum._eigensolve(ReducedProblem(l, nu), config)
+        spectrum._eigensolve(ReducedProblem(l, nu), 3)
 
 
 @pytest.mark.parametrize("l", [39, 40, 50, 60])
 def test_eigenvalue_stage_is_exact_at_high_momentum(l):
-    # the default r_max = 12 cuts these ground states' tails, which only sampling reads
-    Ws = spectrum._eigensolve(ReducedProblem(l, 0.0), SolverConfig())[0]
+    Ws = spectrum._eigensolve(ReducedProblem(l, 0.0), 3)[0]
     scanned = [curve.W[0] for curve in curve_scan(l, 3, [0.0])]
     for j, (w, v) in enumerate(zip(Ws, scanned)):
         exact = 2 * (2 * j + l + 1)
         assert abs(w - exact) <= 1e-12 * exact and abs(v - exact) <= 1e-12 * exact, j
 
 
+@pytest.mark.parametrize("l, nu", [(39, 0.0), (40, 0.0), (50, 0.0), (60, 0.0),
+                                   (0, 510.0), (0, 600.0), (0, 1000.0)])
+def test_sampled_solves_reach_the_envelope_edges(l, nu):
+    # the ground state lies beyond r = 12 (l >= 39) or within r < 1 (l = 0, nu >= 510):
+    # the sampling grid must follow the state, as the basis window does
+    problem = ReducedProblem(l, nu)
+    assert [st.W for st in solve_spectrum(problem)] == spectrum._eigensolve(problem, 3)[0]
+    assert hft_check(problem, 0).discrepancy <= 1e-5
+
+
+def test_ground_state_expectation_is_the_branch_slope():
+    # dW_0/dnu = v^T J v exactly for the Galerkin eigenvector v, so the midpoint <r>
+    # must agree with it; at l = 0 the state narrows as nu grows (width about nu^(-1/3))
+    for l, nu in ((0, 0.0), (0, 5.0), (0, 200.0), (0, 300.0), (0, 1000.0), (0, -1000.0),
+                  (1, 12.0), (2, -1000.0), (5, -50.0), (20, 50.0), (40, 0.0), (60, 0.0)):
+        problem, c = ReducedProblem(l, nu), spectrum._shift(nu)
+        v = spectrum._eigensolve(problem, 1, c)[2][:, 0]
+        slope = v @ spectrum._galerkin(l, c)[3] @ v
+        assert abs(expectation_r(solve_spectrum(problem, 1)[0]) - slope) <= 1e-4 * slope, (l, nu)
+
+
 @pytest.mark.parametrize("r_max", [200.0, 500.0])
-def test_coarse_grid_raises_instead_of_a_wrong_expectation(r_max):
+def test_coarse_grid_raises_instead_of_a_wrong_expectation(monkeypatch, r_max):
     # 100 cells of width 2 or 5 miss the width-1 ground state: <r> read 1.002 and 2.5
-    problem, config = ReducedProblem(0, 0.0), SolverConfig(r_max=r_max, grid_points=100)
+    _sample_on(monkeypatch, r_max, 100)
+    problem = ReducedProblem(0, 0.0)
     with pytest.raises(SolverError, match="misses a state"):
-        solve_spectrum(problem, config)
+        solve_spectrum(problem)
     with pytest.raises(SolverError, match="misses a state"):
-        hft_check(problem, 0, config=config)
+        hft_check(problem, 0)
 
 
-def test_grid_that_misses_every_state_raises_instead_of_nan():
+def test_grid_that_misses_every_state_raises_instead_of_nan(monkeypatch):
     # first cell centre r = 50: exp(-r^2/2) underflows in every cell, while W is exact
-    problem, config = ReducedProblem(0, 0.0), SolverConfig(r_max=1e4, grid_points=100)
-    assert spectrum._eigensolve(problem, config)[0][0] == pytest.approx(2.0, abs=1e-12)
+    _sample_on(monkeypatch, 1e4, 100)
+    problem = ReducedProblem(0, 0.0)
+    assert spectrum._eigensolve(problem, 3)[0][0] == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(SolverError, match="misses a state"):
-        solve_spectrum(problem, config)
+        solve_spectrum(problem)
     with pytest.raises(SolverError, match="misses a state"):
-        hft_check(problem, 0, config=config)
+        hft_check(problem, 0)
 
 
 def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
@@ -379,7 +388,7 @@ def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
         return basis_values(s, c, alpha, beta, r)
 
     monkeypatch.setattr(spectrum, "_basis_values", recording)
-    n = SolverConfig().grid_points
+    n = spectrum.GRID_POINTS
     curve_scan(1, 3, [-3.5, 0.0, 2.0])
     match_truncation_to_curves([polynomial_solution(4, i, 0) for i in (1, 3)])
     assert CliRunner().invoke(main, ["spectrum", "--l", "2", "--nu", "-5"]).exit_code == 0
@@ -390,31 +399,32 @@ def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
     assert sizes == [n]
 
 
-def _cell_subset_tail_fails(problem, config):
+def _cell_subset_tail_fails(problem, grid):
     """The tail check on cells 1, 1 + n // 250, ..., n of the sampling grid,
     which the check on every cell replaced: True where it raised."""
-    c = spectrum._shift(problem.nu)
-    alpha, beta, A0, J, *_ = spectrum._galerkin(abs(problem.l), c)
+    s, c = abs(problem.l), spectrum._shift(problem.nu)
+    alpha, beta, A0, J, *_ = spectrum._galerkin(s, c)
     V = np.linalg.eigh(A0 + problem.nu * J)[1]
-    r_max, n = config.domain(problem.nu), config.grid_points
-    r = (np.r_[1:n:max(1, n // 250), n] - 0.5) * (r_max / n)
-    ground = np.abs(V[:, 0] @ spectrum._basis_values(abs(problem.l), c, alpha, beta, r))
+    r = grid(s, c)[0]
+    n = r.size
+    r = r[np.r_[0:n - 1:max(1, n // 250), n - 1]]
+    ground = np.abs(V[:, 0] @ spectrum._basis_values(s, c, alpha, beta, r))
     return not ground[-1] < spectrum.TAIL_RATIO * ground.max()
 
 
-def test_tail_check_decides_as_the_cell_subset_rule():
+def test_tail_check_decides_as_the_cell_subset_rule(monkeypatch):
     decisions = []
     for l in (0, 2, 40):
         for nu in (-5.0, 0.0, 3.0):
             for r_max in (None, *np.linspace(4.0, 9.0, 11)):
                 for grid_points in (100, 5000):
                     problem = ReducedProblem(l, nu)
-                    config = SolverConfig(r_max=r_max, grid_points=grid_points)
+                    grid = _sample_on(monkeypatch, r_max, grid_points)
                     try:
-                        solve_spectrum(problem, config)
+                        solve_spectrum(problem)
                         raised = False
                     except DomainTooSmall:
                         raised = True
-                    assert raised == _cell_subset_tail_fails(problem, config), (l, nu, r_max)
+                    assert raised == _cell_subset_tail_fails(problem, grid), (l, nu, r_max)
                     decisions.append(raised)
     assert 0 < sum(decisions) < len(decisions)     # the panel has both outcomes
