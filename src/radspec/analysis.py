@@ -199,8 +199,7 @@ def match_truncation_to_curves(points: Sequence[TruncationSolution],
         raise ValueError(f"tol={tol} must be positive")
     results = []
     for pt in points:
-        Ws = _eigensolve(ReducedProblem(pt.l, pt.nu_root), pt.i + 1)[0]
-        dists = [abs(w - pt.W) for w in Ws]
+        dists = [abs(w - pt.W) for w in _eigensolve(ReducedProblem(pt.l, pt.nu_root), pt.i + 1)[0]]
         nearest = int(np.argmin(dists))
         results.append(MatchResult(
             n=pt.n, i=pt.i, l=pt.l, nu=pt.nu_root, W_truncation=pt.W,

@@ -2,10 +2,10 @@
 
 `radspec verify` and the acceptance tests call these same functions, so no
 invariant is implemented twice. Each returns a :class:`Check` that passes
-when its measured ``value <= tol``. A structural breach measures as
-``math.inf``, which fails under any tolerance, infinite included: roots not paired as +-r with a
-zero root iff n is even, a nonpositive slope or ``<r>``, or a truncation
-point nearer to another branch than i-1.
+when its measured ``value <= tol`` and is finite. A structural breach measures
+as ``math.inf``, so no tolerance, not even an infinite one, excuses it: roots
+not paired as +-r with a zero root iff n is even, a nonpositive slope or
+``<r>``, or a truncation point nearer to another branch than i-1.
 """
 
 import math

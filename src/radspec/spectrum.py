@@ -92,7 +92,7 @@ def _window(s: int, c: float) -> tuple[float, float]:
 
 
 def _grid(s: int, c: float) -> tuple[np.ndarray, float]:
-    """Cell centres and width of GRID_POINTS equal cells over the (s, c) window."""
+    """Centres and width of GRID_POINTS equal cells over the (s, c) window; tests replace it."""
     lo, hi = _window(s, c)
     h = (hi - lo) / GRID_POINTS
     return lo + (np.arange(1, GRID_POINTS + 1) - 0.5) * h, h
@@ -147,7 +147,8 @@ class EigenState:
 
     @property
     def step(self) -> float:
-        return float(self.r[-1] - self.r[0]) / (self.r.size - 1)     # r[0] may be far from 0
+        # r[1] - r[0] keeps few digits of the width where the window starts far from 0
+        return float(self.r[-1] - self.r[0]) / (self.r.size - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,20 +212,20 @@ def _eigensolve(problem: ReducedProblem, levels: int, c: float | None = None
     c basis. It samples nothing."""
     if not hasattr(type(levels), "__index__") or levels < 1:     # what operator.index accepts
         raise ValueError(f"levels={levels!r} must be an integer >= 1")
-    l, nu, k = problem.l, problem.nu, levels
+    l, nu = problem.l, problem.nu
     c = _shift(nu) if c is None else c
     at = f"l={l}, nu={nu:g}, shift c={c:g}"
     _, _, A0, J, defect, *_ = _galerkin(abs(l), c)
-    if k > CHECK_SIZE or not defect <= GRAM_TOL:
-        raise NotConverged(f"basis cannot resolve {k} levels at {at} "
+    if levels > CHECK_SIZE or not defect <= GRAM_TOL:
+        raise NotConverged(f"basis cannot resolve {levels} levels at {at} "
                            f"(Gram defect {defect:.1e})")
     A = A0 + nu * J
     try:
         W, V = np.linalg.eigh(A)
-        coarse = np.linalg.eigvalsh(A[:CHECK_SIZE, :CHECK_SIZE])[:k]
+        coarse = np.linalg.eigvalsh(A[:CHECK_SIZE, :CHECK_SIZE])[:levels]
     except np.linalg.LinAlgError as exc:
         raise NotConverged(f"Galerkin eigensolve failed at {at}: {exc}") from exc
-    W, V = W[:k], V[:, :k]
+    W, V = W[:levels], V[:, :levels]
     shift = np.abs(coarse - W)     # one-signed by interlacing, up to round-off
     tol = CONVERGENCE_TOL * np.maximum(1.0, np.abs(W))
     if not (np.all(shift < tol) and np.all(np.isfinite(V))):

@@ -92,6 +92,13 @@ def test_eigenfunction_normalized_under_radial_measure():
         assert integral == pytest.approx(1.0, abs=1e-10)
 
 
+def test_step_is_the_cell_width_far_from_the_origin():
+    # at nu = -1000 the window starts at r = 487, where r[1] - r[0] is 1.9e-12 off the width
+    st = solve_spectrum(ReducedProblem(2, -1000.0), 1)[0]
+    lo, hi = spectrum._window(2, spectrum._shift(-1000.0))
+    assert st.step == pytest.approx((hi - lo) / spectrum.GRID_POINTS, rel=1e-14, abs=0)
+
+
 def test_domain_too_small_is_rejected(monkeypatch):
     _sample_on(monkeypatch, r_max=4.0)
     with pytest.raises(DomainTooSmall):
