@@ -27,7 +27,6 @@ __all__ = [
     "FitModel",
     "MatchResult",
     "MatchReport",
-    "FitComparison",
     "ContinuityRow",
     "ContinuityTable",
     "DegenerateFit",
@@ -127,35 +126,14 @@ class MatchResult:
     W_truncation: float
     matched_branch: int
     distance: float
-    passed: bool
 
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Per-point outcome of matching truncation points onto numeric branches.
-
-    A point passes only if the nearest branch is j = i - 1 and the
-    eigenvalue distance is within tolerance.
-    """
+    """Nearest branch and eigenvalue distance of each truncation point; the verdict
+    (branch i - 1, distance within tolerance) is :func:`radspec.checks.match`."""
 
     results: tuple[MatchResult, ...]
-    tol: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
-@dataclass(frozen=True)
-class FitComparison:
-    """Max deviation between a regenerated fit and the published cubic."""
-
-    j: int
-    l: int
-    max_deviation: float
-    nu_lo: float
-    nu_hi: float
-    published: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -187,25 +165,21 @@ def truncation_point_set(n_max: int, i_max: int, l: int) -> list[TruncationSolut
             for n in range(n_max + 1) for i in range(1, min(n + 1, i_max) + 1)]
 
 
-def match_truncation_to_curves(points: Sequence[TruncationSolution],
-                               tol: float = 1e-6) -> MatchReport:
-    """Locate each truncation point on the numeric branch ladder.
+def match_truncation_to_curves(points: Sequence[TruncationSolution]) -> MatchReport:
+    """Nearest numeric branch of each truncation point and its distance; no verdict.
 
     Solves the spectrum at each point's root with branches up to j = i
     (one above the expected match, enough to certify nearness since
     adjacent branches are ~4 apart while matches land within ~1e-11).
     """
-    if tol <= 0:
-        raise ValueError(f"tol={tol} must be positive")
     results = []
     for pt in points:
         dists = [abs(w - pt.W) for w in _eigensolve(ReducedProblem(pt.l, pt.nu_root), pt.i + 1)[0]]
         nearest = int(np.argmin(dists))
         results.append(MatchResult(
             n=pt.n, i=pt.i, l=pt.l, nu=pt.nu_root, W_truncation=pt.W,
-            matched_branch=nearest, distance=dists[nearest],
-            passed=(nearest == pt.i - 1 and dists[nearest] <= tol)))
-    return MatchReport(results=tuple(results), tol=tol)
+            matched_branch=nearest, distance=dists[nearest]))
+    return MatchReport(results=tuple(results))
 
 
 def branch_fit_points(l: int, j: int, n_max: int = 22) -> list[tuple[float, float]]:
@@ -238,17 +212,14 @@ def fit_cubic(points: Sequence[tuple[float, float]], fixed_intercept: float,
         rms_residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def compare_fit_to_published(fit: FitModel, samples: int = 201) -> FitComparison:
-    """Max |fit - published cubic| on a dense grid over the fit domain."""
+def compare_fit_to_published(fit: FitModel) -> float:
+    """Max |fit - published cubic| on 201 equally spaced nu over ``fit.fit_domain``."""
     if fit.l != 0 or fit.j not in PUBLISHED_CUBICS:
         raise ValueError(f"no published cubic for l={fit.l}, branch {fit.j}")
     c0, b1, b2, b3 = PUBLISHED_CUBICS[fit.j]
-    lo, hi = fit.fit_domain
-    nu = np.linspace(lo, hi, samples)
+    nu = np.linspace(*fit.fit_domain, 201)
     published = c0 + nu * (b1 + nu * (b2 + nu * b3))
-    dev = float(np.max(np.abs(fit.predict(nu) - published)))
-    return FitComparison(j=fit.j, l=fit.l, max_deviation=dev,
-                         nu_lo=lo, nu_hi=hi, published=PUBLISHED_CUBICS[fit.j])
+    return float(np.max(np.abs(fit.predict(nu) - published)))
 
 
 def map_W_to_E(W: float, p: PhysicalParams) -> float:
@@ -274,14 +245,13 @@ def map_nu_to_a(nu: float, p: PhysicalParams) -> float:
 
 
 def continuity_demonstration(l: int, j: int, nu_interval: tuple[float, float],
-                             samples: int, root_tol: float = 1e-9,
-                             n_max: int = 22, i_max: int = 3) -> ContinuityTable:
+                             samples: int) -> ContinuityTable:
     """Sample branch j across an interval and flag truncation abscissae.
 
     Eigenvalues exist at every sampled nu; a row is marked coincident only
-    when its nu lies within root_tol*(1+|nu|) of some truncation root from
-    the (n <= n_max, i <= i_max) set. Away from those isolated abscissae
-    the truncation route has no solution at all, yet the branch is there.
+    when its nu lies within 1e-9 (1 + |nu|) of some truncation root with
+    n <= 22, i <= 3. Away from those isolated abscissae the truncation
+    route has no solution at all, yet the branch is there.
     """
     lo, hi = nu_interval
     if not lo < hi:
@@ -290,11 +260,11 @@ def continuity_demonstration(l: int, j: int, nu_interval: tuple[float, float],
         raise ValueError(f"samples={samples} must be >= 2")
     grid = np.linspace(lo, hi, samples)
     curve = curve_scan(l, j + 1, grid)[j]
-    roots = sorted({pt.nu_root for pt in truncation_point_set(n_max, i_max, l)})
+    roots = sorted({pt.nu_root for pt in truncation_point_set(22, 3, l)})
     rows = []
     for nu, W in curve.samples:
         nearest = min(roots, key=lambda r: abs(r - nu)) if roots else None
-        coincident = nearest is not None and abs(nearest - nu) <= root_tol * (1 + abs(nu))
+        coincident = nearest is not None and abs(nearest - nu) <= 1e-9 * (1 + abs(nu))
         rows.append(ContinuityRow(nu=float(nu), W=float(W),
                                   nearest_root=nearest, coincident=coincident))
     return ContinuityTable(l=l, j=j, rows=tuple(rows))

@@ -88,7 +88,7 @@ def hft(l: int, nu: float, j: int, tol: float) -> Check:
 
 def match(l: int, n_max: int, i_max: int, tol: float) -> Check:
     """Worst distance of a truncation point to branch i-1; inf if nearer another."""
-    results = match_truncation_to_curves(truncation_point_set(n_max, i_max, l), tol).results
+    results = match_truncation_to_curves(truncation_point_set(n_max, i_max, l)).results
     off = [r for r in results if r.matched_branch != r.i - 1]
     if off:
         return Check(f"match l={l}", math.inf, tol, f"{len(off)} points off branch i-1, "

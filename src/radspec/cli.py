@@ -106,7 +106,7 @@ def truncate(l, n_max, i_max, fmt, out):
 
 @main.command()
 @click.option("--l", "l", type=int, default=0, show_default=True)
-@click.option("--branches", type=int, default=3, show_default=True)
+@click.option("--branches", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--nu", "nu_values", type=float, multiple=True,
               help="Coupling value; repeatable.")
 @click.option("--nu-min", type=float, default=None)
@@ -137,7 +137,8 @@ def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, fmt, out):
               help="Momentum scope; repeatable. Default 0 1 2.")
 @click.option("--n-max", type=click.IntRange(min=0), default=12, show_default=True)
 @click.option("--i-max", type=click.IntRange(min=1), default=3, show_default=True)
-@click.option("--n", "n_single", type=int, default=None, help="Single order for --residual.")
+@click.option("--n", "n_single", type=click.IntRange(min=0), default=None,
+              help="Single order for --residual.")
 @click.option("--i", "i_single", type=int, default=None,
               help="Single root index for --residual; needs --n.")
 @click.option("--nu", "nu_single", type=float, default=None, help="Single coupling for --hft.")
@@ -244,7 +245,7 @@ print(f"wrote {HERE / 'figure.png'}")
 
 @main.command()
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@click.option("--curve-samples", type=int, default=241, show_default=True,
+@click.option("--curve-samples", type=click.IntRange(min=0), default=241, show_default=True,
               help="Uniform curve grid size; truncation abscissae are added to it.")
 def figure(out_dir, curve_samples):
     """Emit the l=0 dataset: points.csv, curves.csv, parabola.csv, plot script."""
@@ -282,8 +283,8 @@ def fit(l, branch, n_max, out):
     pts = branch_fit_points(l, branch, n_max)
     model = fit_cubic(pts, intercept, branch=branch, l=l)
     b1, b2, b3 = model.coefficients
-    click.echo(f"branch j={branch}, l={l}: {len(pts)} points, "
-               f"nu in [{model.fit_domain[0]:.6f}, {model.fit_domain[1]:.6f}]")
+    lo, hi = model.fit_domain
+    click.echo(f"branch j={branch}, l={l}: {len(pts)} points, nu in [{lo:.6f}, {hi:.6f}]")
     click.echo(f"W = {model.intercept:g} + ({b1:.10g}) nu + ({b2:.10g}) nu^2 "
                f"+ ({b3:.10g}) nu^3")
     click.echo(f"rms residual {model.rms_residual:.3e}")
@@ -291,10 +292,10 @@ def fit(l, branch, n_max, out):
               "coefficients": [b1, b2, b3], "rms_residual": model.rms_residual,
               "fit_domain": list(model.fit_domain), "points": len(pts)}
     if l == 0 and branch in PUBLISHED_CUBICS:
-        comp = compare_fit_to_published(model)
-        click.echo(f"max deviation from published cubic: {comp.max_deviation:.4f} "
-                   f"over nu in [{comp.nu_lo:.4f}, {comp.nu_hi:.4f}]")
-        report["max_deviation_from_published"] = comp.max_deviation
+        dev = compare_fit_to_published(model)
+        click.echo(f"max deviation from published cubic: {dev:.4f} "
+                   f"over nu in [{lo:.4f}, {hi:.4f}]")
+        report["max_deviation_from_published"] = dev
     if out:
         with click.open_file(out, "w") as f:
             json.dump(report, f, indent=2)

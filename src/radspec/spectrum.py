@@ -49,6 +49,7 @@ QUAD_NODES = 240      # Gauss-Legendre nodes discretizing the weight
 GRAM_TOL = 1e-10      # allowed max |<F_k, F_l> - delta_kl| on the quadrature
 CONVERGENCE_TOL = 1e-8    # a level is accepted when its Ritz shift is below this * max(1, |W|)
 GRID_POINTS = 6000    # equal cells over the basis window that solve_spectrum samples on
+HFT_DELTA = 1e-4      # half-step of hft_check's central difference in nu
 
 
 class SolverError(RuntimeError):
@@ -243,24 +244,22 @@ def expectation_r(state: EigenState) -> float:
     return val
 
 
-def hft_check(problem: ReducedProblem, j: int, delta: float = 1e-4) -> HftCheck:
+def hft_check(problem: ReducedProblem, j: int) -> HftCheck:
     """Check dW_j/dnu = <r> at the given problem point.
 
-    The slope is the central difference of eigenvalues over nu +- delta;
+    The slope is the central difference of eigenvalues over nu +- HFT_DELTA;
     <r> is the midpoint rule over the eigenfunction sampled at nu itself,
     so the two sides are independent. For nu in -3..12, j <= 2: <= 1.4e-6
     for l = 0 (the midpoint rule dominates), 1.6e-8 for l = 1..3.
     """
-    if delta <= 0:
-        raise ValueError(f"delta={delta} must be positive")
     if j < 0:
         raise ValueError(f"branch j={j} must be >= 0")
     # one basis for all three solves; the slope must not see a shift jump
     c = _shift(problem.nu)
     lo, hi = (_eigensolve(ReducedProblem(problem.l, problem.nu + d), j + 1, c)[0][j]
-              for d in (-delta, delta))
+              for d in (-HFT_DELTA, HFT_DELTA))
     mid = solve_spectrum(problem, j + 1)
-    slope = (hi - lo) / (2 * delta)
+    slope = (hi - lo) / (2 * HFT_DELTA)
     rexp = expectation_r(mid[j])
     return HftCheck(dW_dnu=slope, r_expectation=rexp,
                     discrepancy=abs(slope - rexp))

@@ -99,7 +99,7 @@ def test_criterion_6_fit_reproduction():
     for j in (0, 1, 2):
         model = fit_cubic(branch_fit_points(0, j), PUBLISHED_CUBICS[j][0],
                           branch=j, l=0)
-        devs[j] = compare_fit_to_published(model).max_deviation
+        devs[j] = compare_fit_to_published(model)
     ok = all(d <= 0.05 for d in devs.values())
     _report(6, "fit reproduction", ok,
             "max |fit - published| per branch: "

@@ -7,6 +7,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from radspec.analysis import branch_fit_points, compare_fit_to_published, fit_cubic
 from radspec.cli import main
 
 ROOT_83 = math.sqrt(8.0 / 3.0)
@@ -115,9 +116,8 @@ def test_spectrum_without_grid_is_usage_error(runner):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--branches", "0"],
     ["--nu", "nan"],
-], ids=["branches", "nu-nan"])
+], ids=["nu-nan"])
 def test_spectrum_invalid_config_is_domain_error(runner, flags):
     """A rejected solver input exits 1 with a message, not a traceback."""
     res = runner.invoke(main, ["spectrum", "--nu", "0", *flags])
@@ -137,13 +137,17 @@ def test_spectrum_exact_where_the_default_grid_cuts_the_tail(runner):
 @pytest.mark.parametrize("args", [
     ["spectrum", "--nu-min", "0", "--nu-max", "1", "--nu-count", "0"],
     ["spectrum", "--nu-min", "0", "--nu-max", "1", "--nu-count", "-1"],
+    ["spectrum", "--nu", "0", "--branches", "0"],
+    ["spectrum", "--nu", "0", "--branches", "-1"],
     ["energy", "--theta-min", "1", "--theta-max", "2", "--theta-steps", "0"],
     ["truncate", "--n-max", "-1"],
     ["truncate", "--i-max", "0"],
     ["fit", "--n-max", "-1"],
-], ids=["nu-count-0", "nu-count-neg", "theta-steps-0", "truncate-n-max", "truncate-i-max",
-        "fit-n-max"])
-def test_empty_dataset_request_is_usage_error(runner, args):
+    ["figure", "--out-dir", "bad", "--curve-samples", "-1"],
+], ids=["nu-count-0", "nu-count-neg", "branches", "branches-neg", "theta-steps-0",
+        "truncate-n-max", "truncate-i-max", "fit-n-max", "curve-samples-neg"])
+def test_empty_dataset_request_is_usage_error(runner, args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)     # a figure that got past its options would write here
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
 
@@ -171,7 +175,7 @@ def test_verify_residual_index_without_order_is_usage_error(runner):
 
 
 @pytest.mark.parametrize("suite", ["--residual", "--all", "--match"])
-@pytest.mark.parametrize("scope", [["--n-max", "-1"], ["--i-max", "0"]])
+@pytest.mark.parametrize("scope", [["--n-max", "-1"], ["--i-max", "0"], ["--n", "-1"]])
 def test_verify_empty_scope_is_usage_error(runner, suite, scope):
     res = runner.invoke(main, ["verify", suite, "--l", "0", *scope])
     assert res.exit_code == 2
@@ -219,6 +223,15 @@ def test_verify_match_small_scope(runner):
     res = runner.invoke(main, ["verify", "--match", "--l", "0", "--n-max", "3"])
     assert res.exit_code == 0
     assert "match l=0" in res.output
+
+
+def test_verify_match_zero_tolerance_is_a_failed_check(runner):
+    # the verdict is the check's alone: a tolerance no distance meets fails the row
+    res = runner.invoke(main, ["verify", "--match", "--l", "0", "--n-max", "2",
+                               "--match-tol", "0"])
+    assert res.exit_code == 1
+    assert "FAIL  match l=0" in res.output
+    assert "error:" not in res.output
 
 
 def test_verify_without_suite_is_usage_error(runner):
@@ -278,10 +291,25 @@ def test_verify_json_writes_infinite_value_as_null(runner, tmp_path, monkeypatch
 # --- fit ---------------------------------------------------------------------
 
 def test_fit_branch_zero(runner):
-    res = runner.invoke(main, ["fit", "--l", "0", "--branch", "0"])
+    # the README's example, all four lines
+    res = runner.invoke(main, ["fit", "--l", "0", "--branch", "0", "--n-max", "22"])
     assert res.exit_code == 0
-    assert "W = 2 +" in res.output
-    assert "max deviation from published cubic" in res.output
+    assert res.output.splitlines() == [
+        "branch j=0, l=0: 23 points, nu in [0.000000, 12.087918]",
+        "W = 2 + (0.8495010748) nu + (-0.02890302939) nu^2 + (0.000812614776) nu^3",
+        "rms residual 6.905e-03",
+        "max deviation from published cubic: 0.0125 over nu in [0.0000, 12.0879]",
+    ]
+
+
+def test_fit_report_writes_the_published_deviation(runner, tmp_path):
+    out = tmp_path / "fit.json"
+    res = runner.invoke(main, ["fit", "--l", "0", "--branch", "2", "--out", str(out)])
+    assert res.exit_code == 0
+    model = fit_cubic(branch_fit_points(0, 2), 10.0, branch=2, l=0)
+    report = json.loads(out.read_text())
+    assert report["max_deviation_from_published"] == compare_fit_to_published(model)
+    assert report["fit_domain"] == list(model.fit_domain)
 
 
 def test_fit_underdetermined_fails(runner):

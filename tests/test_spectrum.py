@@ -242,11 +242,6 @@ def test_hft_excited_branch_self_consistent():
     assert res.discrepancy <= max(1e-4, 10 * spectrum.CONVERGENCE_TOL / 1e-4)
 
 
-def test_hft_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        hft_check(ReducedProblem(0, 0.0), 0, delta=0.0)
-
-
 def test_hft_rejects_negative_branch():
     # W[j] would index from the end: j = -1 would silently check the last level
     with pytest.raises(ValueError, match="j=-1"):
