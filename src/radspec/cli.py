@@ -117,13 +117,11 @@ def truncate(l, n_max, i_max, fmt, out):
 @click.option("--out", type=click.Path(allow_dash=True), default="-", show_default=True)
 def spectrum(l, branches, nu_values, nu_min, nu_max, nu_count, fmt, out):
     """Emit numeric branch samples (l, j, nu, W)."""
-    if nu_values:
-        grid = sorted(set(nu_values))
-    elif nu_min is not None and nu_max is not None and nu_count is not None:
-        grid = list(np.linspace(nu_min, nu_max, nu_count))
-    else:
-        raise click.UsageError("give --nu values or --nu-min/--nu-max/--nu-count")
-    curves = curve_scan(l, branches, grid)
+    if not nu_values:
+        if nu_min is None or nu_max is None or nu_count is None:
+            raise click.UsageError("give --nu values or --nu-min/--nu-max/--nu-count")
+        nu_values = np.linspace(nu_min, nu_max, nu_count)
+    curves = curve_scan(l, branches, sorted(set(nu_values)))
     rows = [[c.l, c.j, nu, W] for c in curves for nu, W in c.samples]
     _emit_rows(["l", "j", "nu", "W"], rows, fmt, out)
 

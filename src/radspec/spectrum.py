@@ -14,9 +14,10 @@ run in the sampling recurrence's operation order (Paige's), so the Gram check
 sees exactly the values that sampling reproduces. A leading block of A is the
 Galerkin matrix of a smaller basis, so by Cauchy interlacing its Ritz values
 lie above those of A: their gap is the convergence check and error estimate.
-One window, outside which the weight is below e^-169 of its peak, carries both
-the quadrature and the equal cells on which :func:`solve_spectrum` samples the
-states, so the grid follows the states in l and nu with nothing to set.
+One window, outside which the weight is below e^-169 of its peak, carries the
+quadrature; :func:`solve_spectrum` samples the states on a Gauss-Legendre rule
+over the same window widened by 4 at each end, so the rule follows the states
+in l and nu with nothing to set, and its nodes are not those that built J.
 
 Each branch W_{j,l}(nu) is continuous and strictly increasing in nu
 (dW/dnu = <r> > 0); the isolated truncation energies of
@@ -41,14 +42,12 @@ __all__ = [
     "curve_scan",
 ]
 
-TAIL_RATIO = 1e-12    # required |F(last cell)| / max|F| for the sampled ground state
-NORM_TOL = 1e-2       # allowed |midpoint norm - 1| of a sampled state
+TAIL_RATIO = 1e-12    # required |F(last node)| / max|F| for the sampled ground state
 BASIS_SIZE = 60       # polynomials in the Galerkin basis
 CHECK_SIZE = BASIS_SIZE - 8   # leading block whose Ritz values check convergence
 QUAD_NODES = 240      # Gauss-Legendre nodes discretizing the weight
-GRAM_TOL = 1e-10      # allowed max |<F_k, F_l> - delta_kl| on the quadrature
+GRAM_TOL = 1e-10      # allowed |<F_k, F_l> - delta_kl| on the quadrature, |norm - 1| on the rule
 CONVERGENCE_TOL = 1e-8    # a level is accepted when its Ritz shift is below this * max(1, |W|)
-GRID_POINTS = 6000    # equal cells over the basis window that solve_spectrum samples on
 HFT_DELTA = 1e-4      # half-step of hft_check's central difference in nu
 
 
@@ -61,7 +60,7 @@ class NotConverged(SolverError):
 
 
 class DomainTooSmall(SolverError):
-    """Ground eigenfunction has not decayed to the tail threshold at the last cell."""
+    """Ground eigenfunction has not decayed to the tail threshold at the last node."""
 
 
 class MonotonicityViolation(SolverError):
@@ -92,14 +91,16 @@ def _window(s: int, c: float) -> tuple[float, float]:
     return max(0.0, c - 13.0), c + math.sqrt(2 * s + 1) + 13.0
 
 
-def _grid(s: int, c: float) -> tuple[np.ndarray, float]:
-    """Centres and width of GRID_POINTS equal cells over the (s, c) window; tests replace it."""
-    lo, hi = _window(s, c)
-    h = (hi - lo) / GRID_POINTS
-    return lo + (np.arange(1, GRID_POINTS + 1) - 0.5) * h, h
-
-
 _gauss_legendre = lru_cache(maxsize=1)(leggauss)
+
+
+def _rule(s: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on which solve_spectrum samples: the QUAD_NODES Gauss-Legendre
+    rule on the (s, c) window widened by 4 at each end (not below 0); tests replace it."""
+    t, wt = _gauss_legendre(QUAD_NODES)
+    lo, hi = _window(s, c)
+    lo, hi = max(0.0, lo - 4.0), hi + 4.0
+    return lo + (t + 1) * (hi - lo) / 2, wt * (hi - lo) / 2
 
 
 @lru_cache(maxsize=128)
@@ -133,9 +134,8 @@ def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 @dataclass(frozen=True, eq=False)
 class EigenState:
     """One eigenstate: eigenvalue ``W``, its Ritz shift ``error_estimate``, and
-    ``F`` sampled at the centres ``r`` of GRID_POINTS equal cells over the basis
-    window, normalized so that the midpoint sum for int |F|^2 r dr equals 1 and
-    positive at its peak.
+    ``F`` sampled at the nodes ``r`` of the Gauss-Legendre rule with weights ``w``,
+    normalized so that sum w r F^2 (int |F|^2 r dr) equals 1 and positive at its peak.
     """
 
     l: int
@@ -144,12 +144,8 @@ class EigenState:
     W: float
     error_estimate: float
     r: np.ndarray
+    w: np.ndarray
     F: np.ndarray
-
-    @property
-    def step(self) -> float:
-        # r[1] - r[0] keeps few digits of the width where the window starts far from 0
-        return float(self.r[-1] - self.r[0]) / (self.r.size - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,34 +172,35 @@ class HftCheck:
 
 
 def solve_spectrum(problem: ReducedProblem, levels: int = 3) -> list[EigenState]:
-    """Lowest ``levels`` eigenstates at (l, nu), sampled on GRID_POINTS equal
-    cells over the window of the basis that solves them.
+    """Lowest ``levels`` eigenstates at (l, nu), sampled on the QUAD_NODES-node
+    Gauss-Legendre rule over the basis window widened by 4 at each end.
 
     Raises :class:`NotConverged` if a Ritz shift reaches the tolerance, the
     basis is off orthonormal by GRAM_TOL or anything is non-finite;
-    :class:`DomainTooSmall` if the sampled ground state at the last cell
-    centre is not below TAIL_RATIO of its peak over the grid; and
-    :class:`SolverError` if a state's midpoint norm is off 1 (exact on the
-    quadrature) by more than NORM_TOL, as when the grid is too coarse for it.
+    :class:`DomainTooSmall` if the sampled ground state at the last node is
+    not below TAIL_RATIO of its peak over the rule; and :class:`SolverError`
+    if a state's norm on the rule is off 1 (exact on the quadrature) by more
+    than GRAM_TOL, as when the rule misses it.
     """
     s, c = abs(problem.l), _shift(problem.nu)
     W, shift, V = _eigensolve(problem, levels, c)
     alpha, beta, *_ = _galerkin(s, c)
-    r, h = _grid(s, c)
+    r, w = _rule(s, c)
     F = V.T @ _basis_values(s, c, alpha, beta, r)
     tail, peak = abs(F[0, -1]), np.max(np.abs(F[0]))
-    if peak > 0 and not tail < TAIL_RATIO * peak:     # a grid of zeros fails the norm check
+    if peak > 0 and not tail < TAIL_RATIO * peak:     # a rule of zeros fails the norm check
         raise DomainTooSmall(
             f"ground-state tail at r={r[-1]:g} is {tail / peak:.2e} of peak "
             f"(require < {TAIL_RATIO:g})")
-    norm = F * F @ r * h
+    norm = F * F @ (w * r)
     off = np.max(np.abs(norm - 1))     # NaN if any norm is
-    if not off <= NORM_TOL:
-        raise SolverError(f"the {r.size}-cell grid to r={r[-1] + h / 2:g} misses a "
-                          f"state at {problem}: midpoint norm off 1 by {off:.2e}")
+    if not off <= GRAM_TOL:
+        raise SolverError(f"the {r.size}-node rule to r={r[-1]:g} misses a "
+                          f"state at {problem}: norm off 1 by {off:.2e}")
     F /= np.sqrt(norm)[:, None]
     F *= np.sign(F[np.arange(len(W)), np.argmax(np.abs(F), axis=1)])[:, None]
-    return [EigenState(problem.l, problem.nu, j, W[j], shift[j], r, F[j]) for j in range(len(W))]
+    return [EigenState(problem.l, problem.nu, j, W[j], shift[j], r, w, F[j])
+            for j in range(len(W))]
 
 
 def _eigensolve(problem: ReducedProblem, levels: int, c: float | None = None
@@ -237,8 +234,8 @@ def _eigensolve(problem: ReducedProblem, levels: int, c: float | None = None
 
 
 def expectation_r(state: EigenState) -> float:
-    """<r> = int r |F|^2 r dr by the midpoint rule on the sampling grid."""
-    val = float(np.sum(state.r ** 2 * state.F ** 2) * state.step)
+    """<r> = int r |F|^2 r dr as sum w r^2 F^2 on the state's Gauss-Legendre rule."""
+    val = float(state.F ** 2 @ (state.w * state.r ** 2))
     if val <= 0:
         raise SolverError("nonpositive <r>; eigenfunction is invalid")
     return val
@@ -248,9 +245,10 @@ def hft_check(problem: ReducedProblem, j: int) -> HftCheck:
     """Check dW_j/dnu = <r> at the given problem point.
 
     The slope is the central difference of eigenvalues over nu +- HFT_DELTA;
-    <r> is the midpoint rule over the eigenfunction sampled at nu itself,
-    so the two sides are independent. For nu in -3..12, j <= 2: <= 1.4e-6
-    for l = 0 (the midpoint rule dominates), 1.6e-8 for l = 1..3.
+    <r> is the Gauss-Legendre sum over the eigenfunction sampled at nu itself,
+    on nodes that did not build J, so the two sides are independent. For
+    integer nu in -3..12, j <= 2: <= 4.3e-8 for l = 0, 9.8e-9 for l = 1..3,
+    the central difference's own error.
     """
     if j < 0:
         raise ValueError(f"branch j={j} must be >= 0")

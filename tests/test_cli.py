@@ -110,6 +110,18 @@ def test_spectrum_range_flags(runner):
     assert Ws[0] < Ws[1] < Ws[2]
 
 
+@pytest.mark.parametrize("nu_min, nu_max, values", [
+    ("1", "0", ["0", "0.5", "1"]),
+    ("0", "0", ["0"]),
+], ids=["reversed", "degenerate"])
+def test_spectrum_range_is_sorted_as_the_nu_values(runner, nu_min, nu_max, values):
+    res = runner.invoke(main, ["spectrum", "--nu-min", nu_min, "--nu-max", nu_max,
+                               "--nu-count", "3"])
+    want = runner.invoke(main, ["spectrum", *(a for v in values for a in ("--nu", v))])
+    assert res.exit_code == 0 and want.exit_code == 0
+    assert res.output == want.output
+
+
 def test_spectrum_without_grid_is_usage_error(runner):
     res = runner.invoke(main, ["spectrum", "--l", "0"])
     assert res.exit_code == 2
@@ -240,7 +252,7 @@ def test_verify_without_suite_is_usage_error(runner):
 
 
 def test_verify_hft_honours_a_tight_tolerance(runner):
-    res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--hft-tol", "1e-9"])
+    res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--hft-tol", "1e-12"])
     assert res.exit_code == 1
     assert "FAIL  hft l=0 nu=0 j=0" in res.output
 
@@ -259,13 +271,13 @@ def test_verify_writes_json_report(runner, tmp_path):
     assert check["elapsed"] > 0
 
     res = runner.invoke(main, ["verify", "--hft", "--l", "0", "--nu", "0",
-                               "--hft-tol", "1e-9", "--out", str(out)])
+                               "--hft-tol", "1e-12", "--out", str(out)])
     assert res.exit_code == 1
     report = json.loads(out.read_text())
     assert report["all_passed"] is False
     check = report["checks"][0]
     assert check["passed"] is False
-    assert check["tol"] == 1e-9 and check["value"] > check["tol"]
+    assert check["tol"] == 1e-12 and check["value"] > check["tol"]
     assert check["margin"] == check["value"] / check["tol"] > 1
     assert check["elapsed"] > 0
 

@@ -442,11 +442,11 @@ def test_evaluate_rejects_non_finite_r(r):
                                    (12, 3, 0), (2, 2, 0), (4, 5, 0), (6, 7, 1)])
 def test_truncation_eigenfunction_matches_eigensolver(n, i, l):
     """At a truncation root both routes give the same eigenfunction, not only the
-    same W: the series, sampled on the solver's grid and normalized as EigenState.F."""
+    same W: the series, sampled on the solver's rule and normalized as EigenState.F."""
     sol = polynomial_solution(n, i, l)
     state = solve_spectrum(ReducedProblem(l, sol.nu_root), i)[i - 1]
     F = np.array([_evaluate_F(sol, r) for r in state.r])
-    F /= np.sqrt(np.sum(F * F * state.r) * state.step)
+    F /= np.sqrt(F * F @ (state.w * state.r))
     F *= np.sign(F[np.argmax(np.abs(F))])
     assert np.max(np.abs(F - state.F)) <= 1e-8 * np.max(np.abs(F))
 

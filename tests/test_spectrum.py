@@ -34,15 +34,11 @@ def _within_tolerance(st):
     return st.error_estimate <= spectrum.CONVERGENCE_TOL * max(1.0, abs(st.W))
 
 
-def _sample_on(monkeypatch, r_max=None, n=5000):
-    """Make solve_spectrum sample on n equal cells over [0, r_max], or over
-    the basis window for r_max=None; returns the grid function."""
-    def grid(s, c):
-        lo, hi = spectrum._window(s, c) if r_max is None else (0.0, r_max)
-        h = (hi - lo) / n
-        return lo + (np.arange(1, n + 1) - 0.5) * h, h
-    monkeypatch.setattr(spectrum, "_grid", grid)
-    return grid
+def _sample_on(monkeypatch, r_max, n=spectrum.QUAD_NODES, r_min=0.0):
+    """Make solve_spectrum sample on the n-node Gauss-Legendre rule over [r_min, r_max]."""
+    t, wt = np.polynomial.legendre.leggauss(n)
+    monkeypatch.setattr(spectrum, "_rule", lambda s, c: (
+        r_min + (t + 1) * (r_max - r_min) / 2, wt * (r_max - r_min) / 2))
 
 
 # --- levels ------------------------------------------------------------------
@@ -88,15 +84,8 @@ def test_branches_strictly_ordered():
 def test_eigenfunction_normalized_under_radial_measure():
     states = solve_spectrum(ReducedProblem(0, 1.0), 2)
     for st in states:
-        integral = np.sum(st.F ** 2 * st.r) * st.step
+        integral = st.F ** 2 @ (st.w * st.r)
         assert integral == pytest.approx(1.0, abs=1e-10)
-
-
-def test_step_is_the_cell_width_far_from_the_origin():
-    # at nu = -1000 the window starts at r = 487, where r[1] - r[0] is 1.9e-12 off the width
-    st = solve_spectrum(ReducedProblem(2, -1000.0), 1)[0]
-    lo, hi = spectrum._window(2, spectrum._shift(-1000.0))
-    assert st.step == pytest.approx((hi - lo) / spectrum.GRID_POINTS, rel=1e-14, abs=0)
 
 
 def test_domain_too_small_is_rejected(monkeypatch):
@@ -341,26 +330,38 @@ def test_eigenvalue_stage_is_exact_at_high_momentum(l):
                                    (0, 510.0), (0, 600.0), (0, 1000.0)])
 def test_sampled_solves_reach_the_envelope_edges(l, nu):
     # the ground state lies beyond r = 12 (l >= 39) or within r < 1 (l = 0, nu >= 510):
-    # the sampling grid must follow the state, as the basis window does
+    # the sampling rule must follow the state, as the basis window does
     problem = ReducedProblem(l, nu)
     assert [st.W for st in solve_spectrum(problem)] == spectrum._eigensolve(problem, 3)[0]
     assert hft_check(problem, 0).discrepancy <= 1e-5
 
 
 def test_ground_state_expectation_is_the_branch_slope():
-    # dW_0/dnu = v^T J v exactly for the Galerkin eigenvector v, so the midpoint <r>
-    # must agree with it; at l = 0 the state narrows as nu grows (width about nu^(-1/3))
+    # dW_0/dnu = v^T J v exactly for the Galerkin eigenvector v, so <r> on the sampling
+    # rule, whose nodes did not build J, must agree with it to round-off; at l = 0 the
+    # state narrows as nu grows (width about nu^(-1/3))
     for l, nu in ((0, 0.0), (0, 5.0), (0, 200.0), (0, 300.0), (0, 1000.0), (0, -1000.0),
                   (1, 12.0), (2, -1000.0), (5, -50.0), (20, 50.0), (40, 0.0), (60, 0.0)):
         problem, c = ReducedProblem(l, nu), spectrum._shift(nu)
         v = spectrum._eigensolve(problem, 1, c)[2][:, 0]
-        slope = v @ spectrum._galerkin(l, c)[3] @ v
-        assert abs(expectation_r(solve_spectrum(problem, 1)[0]) - slope) <= 1e-4 * slope, (l, nu)
+        _, _, _, J, _, x, _ = spectrum._galerkin(l, c)
+        slope = v @ J @ v
+        st = solve_spectrum(problem, 1)[0]
+        assert not np.isin(st.r, x).any(), (l, nu)
+        assert abs(expectation_r(st) - slope) <= 1e-12 * slope, (l, nu)
+
+
+def test_hft_check_at_l0_is_the_central_difference_error():
+    # F(0) != 0 only at l = 0; <r> on the rule leaves the slope's own error, 4.3e-8
+    worst = max(hft_check(ReducedProblem(0, float(nu)), j).discrepancy
+                for nu in range(-3, 13) for j in range(3))
+    assert worst <= 2e-7
 
 
 @pytest.mark.parametrize("r_max", [200.0, 500.0])
 def test_coarse_grid_raises_instead_of_a_wrong_expectation(monkeypatch, r_max):
-    # 100 cells of width 2 or 5 miss the width-1 ground state: <r> read 1.002 and 2.5
+    # 100 nodes over [0, 200] or [0, 500] miss the width-1 ground state: norm off 1 by
+    # 1.1e-4 and 1.5e-2
     _sample_on(monkeypatch, r_max, 100)
     problem = ReducedProblem(0, 0.0)
     with pytest.raises(SolverError, match="misses a state"):
@@ -370,8 +371,8 @@ def test_coarse_grid_raises_instead_of_a_wrong_expectation(monkeypatch, r_max):
 
 
 def test_grid_that_misses_every_state_raises_instead_of_nan(monkeypatch):
-    # first cell centre r = 50: exp(-r^2/2) underflows in every cell, while W is exact
-    _sample_on(monkeypatch, 1e4, 100)
+    # every node beyond r = 50: exp(-r^2/2) underflows at each one, while W is exact
+    _sample_on(monkeypatch, 1e4, 100, r_min=50.0)
     problem = ReducedProblem(0, 0.0)
     assert spectrum._eigensolve(problem, 3)[0][0] == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(SolverError, match="misses a state"):
@@ -390,7 +391,6 @@ def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
         return basis_values(s, c, alpha, beta, r)
 
     monkeypatch.setattr(spectrum, "_basis_values", recording)
-    n = spectrum.GRID_POINTS
     curve_scan(1, 3, [-3.5, 0.0, 2.0])
     match_truncation_to_curves([polynomial_solution(4, i, 0) for i in (1, 3)])
     assert CliRunner().invoke(main, ["spectrum", "--l", "2", "--nu", "-5"]).exit_code == 0
@@ -398,35 +398,4 @@ def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
     assert CliRunner().invoke(main, sweep).exit_code == 0
     assert sizes == []
     solve_spectrum(ReducedProblem(1, 2.0))     # the recorder sees a sampling solve
-    assert sizes == [n]
-
-
-def _cell_subset_tail_fails(problem, grid):
-    """The tail check on cells 1, 1 + n // 250, ..., n of the sampling grid,
-    which the check on every cell replaced: True where it raised."""
-    s, c = abs(problem.l), spectrum._shift(problem.nu)
-    alpha, beta, A0, J, *_ = spectrum._galerkin(s, c)
-    V = np.linalg.eigh(A0 + problem.nu * J)[1]
-    r = grid(s, c)[0]
-    n = r.size
-    r = r[np.r_[0:n - 1:max(1, n // 250), n - 1]]
-    ground = np.abs(V[:, 0] @ spectrum._basis_values(s, c, alpha, beta, r))
-    return not ground[-1] < spectrum.TAIL_RATIO * ground.max()
-
-
-def test_tail_check_decides_as_the_cell_subset_rule(monkeypatch):
-    decisions = []
-    for l in (0, 2, 40):
-        for nu in (-5.0, 0.0, 3.0):
-            for r_max in (None, *np.linspace(4.0, 9.0, 11)):
-                for grid_points in (100, 5000):
-                    problem = ReducedProblem(l, nu)
-                    grid = _sample_on(monkeypatch, r_max, grid_points)
-                    try:
-                        solve_spectrum(problem)
-                        raised = False
-                    except DomainTooSmall:
-                        raised = True
-                    assert raised == _cell_subset_tail_fails(problem, grid), (l, nu, r_max)
-                    decisions.append(raised)
-    assert 0 < sum(decisions) < len(decisions)     # the panel has both outcomes
+    assert sizes == [spectrum.QUAD_NODES]     # the rule's nodes
