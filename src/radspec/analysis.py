@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .frobenius import TruncationSolution, polynomial_solution
-from .spectrum import ReducedProblem, _eigensolve, curve_scan
+from .spectrum import ReducedProblem, _eigensolve, _prebuilt, curve_scan
 
 __all__ = [
     "PhysicalParams",
@@ -173,8 +173,9 @@ def match_truncation_to_curves(points: Sequence[TruncationSolution]) -> MatchRep
     adjacent branches are ~4 apart while matches land within ~1e-11).
     """
     results = []
-    for pt in points:
-        dists = [abs(w - pt.W) for w in _eigensolve(ReducedProblem(pt.l, pt.nu_root), pt.i + 1)[0]]
+    problems = [ReducedProblem(pt.l, pt.nu_root) for pt in points]
+    for pt, problem in zip(points, _prebuilt(problems)):
+        dists = [abs(w - pt.W) for w in _eigensolve(problem, pt.i + 1)[0]]
         nearest = int(np.argmin(dists))
         results.append(MatchResult(
             n=pt.n, i=pt.i, l=pt.l, nu=pt.nu_root, W_truncation=pt.W,

@@ -11,13 +11,17 @@ more by parts, <p_k', p_m> = 2 J_km - (2s+1) B_km for m < k and 0 otherwise,
 so D = C C^T. The p_k recurrence comes from one discretized Stieltjes pass
 on a Gauss-Legendre rule (Gautschi, *Orthogonal Polynomials*, 2004, 2.2.3),
 run in the sampling recurrence's operation order (Paige's), so the Gram check
-sees exactly the values that sampling reproduces. A leading block of A is the
+sees exactly the values that sampling reproduces; the pass runs on a stack of
+shifts at once, each row as it would run alone. A leading block of A is the
 Galerkin matrix of a smaller basis, so by Cauchy interlacing its Ritz values
 lie above those of A: their gap is the convergence check and error estimate.
 One window, outside which the weight is below e^-169 of its peak, carries the
 quadrature; :func:`solve_spectrum` samples the states on a Gauss-Legendre rule
 over the same window widened by 4 at each end, so the rule follows the states
 in l and nu with nothing to set, and its nodes are not those that built J.
+Both rules map one stored QUAD_NODES-node Gauss-Legendre rule on [-1, 1].
+Eigenvalues come from ``eigvalsh``; only :func:`solve_spectrum`, which samples
+the states, computes eigenvectors.
 
 Each branch W_{j,l}(nu) is continuous and strictly increasing in nu
 (dW/dnu = <r> > 0); the isolated truncation energies of
@@ -27,12 +31,13 @@ Each branch W_{j,l}(nu) is continuous and strictly increasing in nu
 from __future__ import annotations
 
 import math
+import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .frobenius import ReducedProblem
 
@@ -49,6 +54,8 @@ QUAD_NODES = 240      # Gauss-Legendre nodes discretizing the weight
 GRAM_TOL = 1e-10      # allowed |<F_k, F_l> - delta_kl| on the quadrature, |norm - 1| on the rule
 CONVERGENCE_TOL = 1e-8    # a level is accepted when its Ritz shift is below this * max(1, |W|)
 HFT_DELTA = 1e-4      # half-step of hft_check's central difference in nu
+STACK_SIZE = 32       # most (s, c) bases built in one stacked pass
+CACHE_SIZE = 128      # (s, c) bases kept; the least recently used is evicted first
 
 
 class SolverError(RuntimeError):
@@ -91,44 +98,108 @@ def _window(s: int, c: float) -> tuple[float, float]:
     return max(0.0, c - 13.0), c + math.sqrt(2 * s + 1) + 13.0
 
 
-_gauss_legendre = lru_cache(maxsize=1)(leggauss)
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the QUAD_NODES-node Gauss-Legendre rule on [-1, 1], mirrored
+    from the stored float.hex table of its nonnegative half."""
+    with open(os.path.join(os.path.dirname(__file__), "gauss_legendre_240.txt")) as fh:
+        rows = [line.split() for line in fh if not line.startswith("#")]
+    t, w = (np.array([float.fromhex(v) for v in col]) for col in zip(*rows))
+    return np.concatenate((-t[::-1], t)), np.concatenate((w[::-1], w))
+
+
+def _mapped(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [lo, hi]; one row per row of
+    lo and hi if they are columns."""
+    t, wt = _gauss_legendre()
+    return lo + (t + 1) * (hi - lo) / 2, wt * (hi - lo) / 2
 
 
 def _rule(s: int, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on which solve_spectrum samples: the QUAD_NODES Gauss-Legendre
     rule on the (s, c) window widened by 4 at each end (not below 0); tests replace it."""
-    t, wt = _gauss_legendre(QUAD_NODES)
     lo, hi = _window(s, c)
-    lo, hi = max(0.0, lo - 4.0), hi + 4.0
-    return lo + (t + 1) * (hi - lo) / 2, wt * (hi - lo) / 2
+    return _mapped(max(0.0, lo - 4.0), hi + 4.0)
 
 
-@lru_cache(maxsize=128)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row i, as one dot product per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _build(keys: Sequence[tuple[int, float]]) -> list[tuple]:
+    """The _galerkin tuple of each (s, c) in keys, from one discretized-Stieltjes pass
+    over the stack: rows are (s, c) pairs, and each runs in _basis_values' order with
+    the same operations as alone, so a basis is the same in any stack."""
+    s, c = (np.array(col, dtype=float)[:, None] for col in zip(*keys))
+    x, wq = _mapped(*(np.array(col)[:, None] for col in zip(*(_window(*key) for key in keys))))
+    wx = wq * x
+    m, eye = len(keys), np.eye(BASIS_SIZE)
+    alpha, beta = np.empty((m, BASIS_SIZE)), np.empty((m, BASIS_SIZE))
+    F = np.empty((m, BASIS_SIZE, QUAD_NODES))
+    with np.errstate(all="ignore"):
+        # _basis_values' recurrence, alpha and beta measured under <f, g> = sum wq x f g
+        w = np.exp(s * np.log(x) - (x - c) ** 2 / 2)
+        for k in range(BASIS_SIZE):
+            beta[:, k] = np.sqrt(_rowdot(w * w, wx))
+            F[:, k] = w / beta[:, k, None]
+            w = x * F[:, k] - beta[:, k, None] * F[:, k - 1] if k else x * F[:, k]
+            alpha[:, k] = _rowdot(w * F[:, k], wx)
+            w -= alpha[:, k, None] * F[:, k]
+        Ft = F.transpose(0, 2, 1)
+        B = (F * wq[:, None]) @ Ft
+        J = np.zeros((m, BASIS_SIZE, BASIS_SIZE))
+        k = np.arange(BASIS_SIZE)
+        J[:, k, k] = alpha
+        J[:, k[1:], k[:-1]] = J[:, k[:-1], k[1:]] = beta[:, 1:]
+        s, c = s[:, :, None], c[:, :, None]
+        C = 2 * np.tril(J, -1) - (2 * s + 1) * np.tril(B, -1)     # J's subdiagonal is beta[1:]
+        A0 = C @ C.transpose(0, 2, 1) + (2 * s + 2 - c * c) * eye - (2 * s + 1) * c * B + 2 * c * J
+        defect = np.max(np.abs((F * wx[:, None]) @ Ft - eye), axis=(1, 2))
+    return [(alpha[i], beta[i], A0[i], J[i], float(defect[i]), x[i], F[i]) for i in range(m)]
+
+
+_bases: OrderedDict[tuple[int, float], tuple] = OrderedDict()
+
+
+def _cache(keys: Sequence[tuple[int, float]]) -> None:
+    """Make every (s, c) in keys (at most CACHE_SIZE) the most recently used cached
+    basis, building the missing ones as one stack."""
+    missing = []
+    for key in keys:
+        if key in _bases:
+            _bases.move_to_end(key)
+        else:
+            missing.append(key)
+    for key, basis in zip(missing, _build(missing) if missing else ()):
+        _bases[key] = basis
+        if len(_bases) > CACHE_SIZE:
+            _bases.popitem(last=False)
+
+
 def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float,
                                           np.ndarray, np.ndarray]:
     """The recurrence (alpha, beta) of the (s, c) basis, its Galerkin matrix at
     nu = 0, J, the largest |<F_k, F_l> - delta_kl| on the quadrature, and the
     quadrature nodes x with the basis values F there (one row per k)."""
-    t, wt = _gauss_legendre(QUAD_NODES)
-    lo, hi = _window(s, c)
-    x, wq = lo + (t + 1) * (hi - lo) / 2, wt * (hi - lo) / 2
-    wx = wq * x
-    alpha, beta, F = np.empty(BASIS_SIZE), np.empty(BASIS_SIZE), np.empty((BASIS_SIZE, QUAD_NODES))
-    with np.errstate(all="ignore"):
-        # _basis_values' recurrence, alpha and beta measured under <f, g> = sum wq x f g
-        w = np.exp(s * np.log(x) - (x - c) ** 2 / 2)
-        for k in range(BASIS_SIZE):
-            beta[k] = math.sqrt(w * w @ wx)
-            F[k] = w / beta[k]
-            w = x * F[k] - beta[k] * F[k - 1] if k else x * F[k]
-            alpha[k] = w * F[k] @ wx
-            w -= alpha[k] * F[k]
-        B = (F * wq) @ F.T
-        J = np.diag(alpha) + np.diag(beta[1:], 1) + np.diag(beta[1:], -1)
-        C = 2 * np.diag(beta[1:], -1) - (2 * s + 1) * np.tril(B, -1)
-        A0 = C @ C.T + (2 * s + 2 - c * c) * np.eye(BASIS_SIZE) - (2 * s + 1) * c * B + 2 * c * J
-        defect = np.max(np.abs((F * wx) @ F.T - np.eye(BASIS_SIZE)))
-    return alpha, beta, A0, J, float(defect), x, F
+    _cache([(s, c)])
+    return _bases[s, c]
+
+
+def _prebuilt(problems: Sequence[ReducedProblem]) -> Iterator[ReducedProblem]:
+    """Yield the problems in order, each once its basis is cached: the distinct bases
+    of each run of problems are built first, as one stack of at most STACK_SIZE, so
+    none is evicted before its run is solved."""
+    keys = [(abs(p.l), _shift(p.nu)) for p in problems]
+    start = 0
+    while start < len(keys):
+        run, stop = {}, start
+        while stop < len(keys) and (keys[stop] in run or len(run) < STACK_SIZE):
+            run[keys[stop]] = None
+            stop += 1
+        _cache(list(run))
+        yield from problems[start:stop]
+        start = stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +254,9 @@ def solve_spectrum(problem: ReducedProblem, levels: int = 3) -> list[EigenState]
     than GRAM_TOL, as when the rule misses it.
     """
     s, c = abs(problem.l), _shift(problem.nu)
-    W, shift, V = _eigensolve(problem, levels, c)
-    alpha, beta, *_ = _galerkin(s, c)
+    W, shift = _eigensolve(problem, levels, c)
+    alpha, beta, A0, J, *_ = _galerkin(s, c)
+    V = np.linalg.eigh(A0 + problem.nu * J)[1][:, :len(W)]
     r, w = _rule(s, c)
     F = V.T @ _basis_values(s, c, alpha, beta, r)
     tail, peak = abs(F[0, -1]), np.max(np.abs(F[0]))
@@ -204,10 +276,10 @@ def solve_spectrum(problem: ReducedProblem, levels: int = 3) -> list[EigenState]
 
 
 def _eigensolve(problem: ReducedProblem, levels: int, c: float | None = None
-                ) -> tuple[list[float], list[float], np.ndarray]:
+                ) -> tuple[list[float], list[float]]:
     """Eigenvalue stage of a solve, with every check on the Galerkin matrix: the lowest
-    ``levels`` eigenvalues W and Ritz shifts (lists) and eigenvectors V (columns) in the
-    c basis. It samples nothing."""
+    ``levels`` eigenvalues W and their Ritz shifts in the c basis, as lists. It computes
+    no eigenvector and samples nothing."""
     if not hasattr(type(levels), "__index__") or levels < 1:     # what operator.index accepts
         raise ValueError(f"levels={levels!r} must be an integer >= 1")
     l, nu = problem.l, problem.nu
@@ -219,18 +291,17 @@ def _eigensolve(problem: ReducedProblem, levels: int, c: float | None = None
                            f"(Gram defect {defect:.1e})")
     A = A0 + nu * J
     try:
-        W, V = np.linalg.eigh(A)
+        W = np.linalg.eigvalsh(A)[:levels]
         coarse = np.linalg.eigvalsh(A[:CHECK_SIZE, :CHECK_SIZE])[:levels]
     except np.linalg.LinAlgError as exc:
         raise NotConverged(f"Galerkin eigensolve failed at {at}: {exc}") from exc
-    W, V = W[:levels], V[:, :levels]
     shift = np.abs(coarse - W)     # one-signed by interlacing, up to round-off
     tol = CONVERGENCE_TOL * np.maximum(1.0, np.abs(W))
-    if not (np.all(shift < tol) and np.all(np.isfinite(V))):
+    if not (np.all(shift < tol) and np.all(np.isfinite(W))):
         raise NotConverged(f"Ritz shifts {shift} at {at} are not all below {tol}")
     if np.any(W[1:] <= W[:-1]):
         raise SolverError(f"eigenvalues not strictly ordered at {at}")
-    return W.tolist(), shift.tolist(), V
+    return W.tolist(), shift.tolist()
 
 
 def expectation_r(state: EigenState) -> float:
@@ -247,7 +318,7 @@ def hft_check(problem: ReducedProblem, j: int) -> HftCheck:
     The slope is the central difference of eigenvalues over nu +- HFT_DELTA;
     <r> is the Gauss-Legendre sum over the eigenfunction sampled at nu itself,
     on nodes that did not build J, so the two sides are independent. For
-    integer nu in -3..12, j <= 2: <= 4.3e-8 for l = 0, 9.8e-9 for l = 1..3,
+    integer nu in -3..12, j <= 2: <= 4.0e-8 for l = 0, 8.4e-9 for l = 1..3,
     the central difference's own error.
     """
     if j < 0:
@@ -267,14 +338,15 @@ def curve_scan(l: int, branches: int, nu_grid: Sequence[float]) -> list[Spectral
     """Sample branches j < branches over a strictly increasing nu grid.
 
     Eigenvalues at each nu come from the eigenvalue stage alone, with its
-    checks, and are indexed by sorted order; branches of a fixed l never
-    cross. Nothing is sampled. Raises :class:`MonotonicityViolation` if any
-    branch fails to increase.
+    checks, after the grid's bases are built in stacks, and are indexed by
+    sorted order; branches of a fixed l never cross. Nothing is sampled.
+    Raises :class:`MonotonicityViolation` if any branch fails to increase.
     """
     nu_grid = [float(v) for v in nu_grid]
     if any(b <= a for a, b in zip(nu_grid, nu_grid[1:])):
         raise ValueError("nu_grid must be strictly increasing")
-    levels = [_eigensolve(ReducedProblem(l, nu), branches)[0] for nu in nu_grid]
+    problems = [ReducedProblem(l, nu) for nu in nu_grid]
+    levels = [_eigensolve(p, branches)[0] for p in _prebuilt(problems)]
     curves = []
     for j in range(branches):
         W = [Ws[j] for Ws in levels]

@@ -132,6 +132,46 @@ def test_galerkin_node_values_are_the_sampling_recurrence(s, c):
     assert np.array_equal(F, spectrum._basis_values(s, c, alpha, beta, x))
 
 
+@pytest.mark.parametrize("s", [0, 1, 5, 40])
+def test_stacked_basis_build_is_the_build_alone(s):
+    # the window's lower end leaves 0 at c = 13; a row must not see its neighbours
+    shifts = [0.0, 0.5, 6.0, 12.5, 13.0, 13.5, 20.0, 30.0]
+    stack = spectrum._build([(s, c) for c in shifts] + [(s + 1, 13.0)])
+    for c, built in zip(shifts, stack):
+        alone = spectrum._build([(s, c)])[0]
+        for a, b in zip(built, alone):
+            assert np.array_equal(a, b), (s, c)
+
+
+def test_scan_past_the_cache_builds_each_basis_once(monkeypatch):
+    # 201 shifts, more than the cache holds: each stack is solved before the next
+    stacks, build = [], spectrum._build
+
+    def counting(keys):
+        stacks.append(list(keys))
+        return build(keys)
+
+    monkeypatch.setattr(spectrum, "_bases", type(spectrum._bases)())
+    monkeypatch.setattr(spectrum, "_build", counting)
+    grid = np.linspace(-200.0, 0.0, 401)
+    curve_scan(1, 2, grid)
+    built = [key for keys in stacks for key in keys]
+    assert sorted(built) == sorted({(1, spectrum._shift(nu)) for nu in grid})
+    assert len(built) == 201 > spectrum.CACHE_SIZE
+    assert max(map(len, stacks)) == spectrum.STACK_SIZE
+
+
+def test_stored_rule_is_gauss_legendre():
+    t, w = spectrum._gauss_legendre()
+    ref_t, ref_w = np.polynomial.legendre.leggauss(spectrum.QUAD_NODES)
+    assert np.all(np.abs(t - ref_t) <= np.spacing(np.abs(ref_t)))
+    assert np.all(np.abs(w - ref_w) <= np.spacing(ref_w))
+    # exact through degree 479; what is left is rounding, up to 6.9e-14 relative at k = 20
+    for k in range(21):
+        exact = 2 / (2 * k + 1)
+        assert abs(w @ t ** (2 * k) - exact) <= 1e-13 * exact, k
+
+
 def test_galerkin_gram_defect_stays_at_round_off():
     defects = [spectrum._galerkin(s, c / 2)[4] for s in range(0, 61, 5) for c in range(0, 61, 5)]
     assert max(defects) <= 1e-13
@@ -140,7 +180,7 @@ def test_galerkin_gram_defect_stays_at_round_off():
 # --- accuracy at exact values ------------------------------------------------
 
 def test_oscillator_levels_within_round_off():
-    # W = 2(2j + |l| + 1) at nu = 0; worst about 3e-12, at l = 0, j = 2
+    # W = 2(2j + |l| + 1) at nu = 0; worst about 2.3e-12, at l = 0, j = 2
     for l in (0, 1, 2, 3, 4, 5, 10, 20, 30):
         for j, curve in enumerate(curve_scan(l, 3, [0.0])):
             exact = 2 * (2 * j + l + 1)
@@ -149,7 +189,7 @@ def test_oscillator_levels_within_round_off():
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_truncation_points_within_round_off_of_their_branch(l):
-    # each truncation energy is an exact eigenvalue; worst about 1.6e-12
+    # each truncation energy is an exact eigenvalue; worst about 1.8e-12
     for res in match_truncation_to_curves(truncation_point_set(22, 3, l)).results:
         assert res.matched_branch == res.i - 1
         assert res.distance <= 1e-11 * max(1.0, abs(res.W_truncation)), (res.n, res.i)
@@ -343,8 +383,8 @@ def test_ground_state_expectation_is_the_branch_slope():
     for l, nu in ((0, 0.0), (0, 5.0), (0, 200.0), (0, 300.0), (0, 1000.0), (0, -1000.0),
                   (1, 12.0), (2, -1000.0), (5, -50.0), (20, 50.0), (40, 0.0), (60, 0.0)):
         problem, c = ReducedProblem(l, nu), spectrum._shift(nu)
-        v = spectrum._eigensolve(problem, 1, c)[2][:, 0]
-        _, _, _, J, _, x, _ = spectrum._galerkin(l, c)
+        _, _, A0, J, _, x, _ = spectrum._galerkin(l, c)
+        v = np.linalg.eigh(A0 + nu * J)[1][:, 0]
         slope = v @ J @ v
         st = solve_spectrum(problem, 1)[0]
         assert not np.isin(st.r, x).any(), (l, nu)
@@ -352,7 +392,7 @@ def test_ground_state_expectation_is_the_branch_slope():
 
 
 def test_hft_check_at_l0_is_the_central_difference_error():
-    # F(0) != 0 only at l = 0; <r> on the rule leaves the slope's own error, 4.3e-8
+    # F(0) != 0 only at l = 0; <r> on the rule leaves the slope's own error, 4.0e-8
     worst = max(hft_check(ReducedProblem(0, float(nu)), j).discrepancy
                 for nu in range(-3, 13) for j in range(3))
     assert worst <= 2e-7
@@ -382,20 +422,27 @@ def test_grid_that_misses_every_state_raises_instead_of_nan(monkeypatch):
 
 
 def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
-    # curve_scan, match_truncation_to_curves, `radspec spectrum`, `radspec energy`
-    sizes = []
-    basis_values = spectrum._basis_values
+    # curve_scan, match_truncation_to_curves, `radspec spectrum`, `radspec energy`:
+    # no sampling and no eigenvectors
+    sizes, eighs = [], []
+    basis_values, eigh = spectrum._basis_values, np.linalg.eigh
 
     def recording(s, c, alpha, beta, r):
         sizes.append(np.size(r))
         return basis_values(s, c, alpha, beta, r)
 
+    def counting(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(spectrum, "_basis_values", recording)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     curve_scan(1, 3, [-3.5, 0.0, 2.0])
     match_truncation_to_curves([polynomial_solution(4, i, 0) for i in (1, 3)])
     assert CliRunner().invoke(main, ["spectrum", "--l", "2", "--nu", "-5"]).exit_code == 0
     sweep = ["energy", "--theta-min", "1", "--theta-max", "2", "--theta-steps", "3"]
     assert CliRunner().invoke(main, sweep).exit_code == 0
-    assert sizes == []
-    solve_spectrum(ReducedProblem(1, 2.0))     # the recorder sees a sampling solve
+    assert sizes == [] and eighs == []
+    solve_spectrum(ReducedProblem(1, 2.0))     # the recorders see a sampling solve
     assert sizes == [spectrum.QUAD_NODES]     # the rule's nodes
+    assert eighs == [(spectrum.BASIS_SIZE, spectrum.BASIS_SIZE)]     # one, of A0 + nu J
