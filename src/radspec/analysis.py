@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .frobenius import TruncationSolution, polynomial_solution
-from .spectrum import ReducedProblem, _eigensolve, _prebuilt, curve_scan
+from .spectrum import ReducedProblem, curve_scan, eigenvalues
 
 __all__ = [
     "PhysicalParams",
@@ -173,9 +173,10 @@ def match_truncation_to_curves(points: Sequence[TruncationSolution]) -> MatchRep
     adjacent branches are ~4 apart while matches land within ~1e-11).
     """
     results = []
-    problems = [ReducedProblem(pt.l, pt.nu_root) for pt in points]
-    for pt, problem in zip(points, _prebuilt(problems)):
-        dists = [abs(w - pt.W) for w in _eigensolve(problem, pt.i + 1)[0]]
+    Ws = eigenvalues([ReducedProblem(pt.l, pt.nu_root) for pt in points],
+                     [pt.i + 1 for pt in points])
+    for pt, W in zip(points, Ws):
+        dists = [abs(w - pt.W) for w in W]
         nearest = int(np.argmin(dists))
         results.append(MatchResult(
             n=pt.n, i=pt.i, l=pt.l, nu=pt.nu_root, W_truncation=pt.W,

@@ -43,7 +43,7 @@ from .frobenius import (
     root_isolation,
     truncation_energy,
 )
-from .spectrum import SolverError, _eigensolve, curve_scan
+from .spectrum import SolverError, curve_scan, eigenvalues
 
 _MODULE_ERRORS = (
     DegenerateFit, InvalidAlpha, InvalidMass, SolverError,
@@ -333,12 +333,10 @@ def energy(m, a, theta, varpi, l, branch, w_values, theta_min, theta_max,
         raise click.UsageError(
             "give --W and --theta, a single --theta, or a sweep "
             "--theta-min/--theta-max/--theta-steps")
-    rows = []
-    for th in thetas:
-        p = PhysicalParams(m=m, a=a, theta=float(th), varpi=varpi, l=l)
-        nu = map_physical_to_nu(p)
-        W = _eigensolve(ReducedProblem(l, nu), branch + 1)[0][branch]
-        rows.append([float(th), map_W_to_E(W, p)])
+    params = [PhysicalParams(m=m, a=a, theta=float(th), varpi=varpi, l=l) for th in thetas]
+    Ws = eigenvalues([ReducedProblem(l, map_physical_to_nu(p)) for p in params],
+                     [branch + 1] * len(params))
+    rows = [[p.theta, map_W_to_E(W[branch], p)] for p, W in zip(params, Ws)]
     _emit_rows(["theta", "E"], rows, fmt, out)
 
 

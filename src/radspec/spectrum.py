@@ -35,7 +35,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .frobenius import ReducedProblem
 __all__ = [
     "EigenState", "SpectralCurve", "HftCheck", "SolverError", "NotConverged",
     "DomainTooSmall", "MonotonicityViolation", "solve_spectrum", "expectation_r", "hft_check",
-    "curve_scan",
+    "curve_scan", "eigenvalues",
 ]
 
 TAIL_RATIO = 1e-12    # required |F(last node)| / max|F| for the sampled ground state
@@ -156,7 +156,7 @@ def _build(keys: Sequence[tuple[int, float]]) -> list[tuple]:
         C = 2 * np.tril(J, -1) - (2 * s + 1) * np.tril(B, -1)     # J's subdiagonal is beta[1:]
         A0 = C @ C.transpose(0, 2, 1) + (2 * s + 2 - c * c) * eye - (2 * s + 1) * c * B + 2 * c * J
         defect = np.max(np.abs((F * wx[:, None]) @ Ft - eye), axis=(1, 2))
-    return [(alpha[i], beta[i], A0[i], J[i], float(defect[i]), x[i], F[i]) for i in range(m)]
+    return [(alpha[i], beta[i], A0[i], J[i], float(defect[i])) for i in range(m)]
 
 
 _bases: OrderedDict[tuple[int, float], tuple] = OrderedDict()
@@ -177,29 +177,11 @@ def _cache(keys: Sequence[tuple[int, float]]) -> None:
             _bases.popitem(last=False)
 
 
-def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float,
-                                          np.ndarray, np.ndarray]:
+def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """The recurrence (alpha, beta) of the (s, c) basis, its Galerkin matrix at
-    nu = 0, J, the largest |<F_k, F_l> - delta_kl| on the quadrature, and the
-    quadrature nodes x with the basis values F there (one row per k)."""
+    nu = 0, J, and the largest |<F_k, F_l> - delta_kl| on the quadrature."""
     _cache([(s, c)])
     return _bases[s, c]
-
-
-def _prebuilt(problems: Sequence[ReducedProblem]) -> Iterator[ReducedProblem]:
-    """Yield the problems in order, each once its basis is cached: the distinct bases
-    of each run of problems are built first, as one stack of at most STACK_SIZE, so
-    none is evicted before its run is solved."""
-    keys = [(abs(p.l), _shift(p.nu)) for p in problems]
-    start = 0
-    while start < len(keys):
-        run, stop = {}, start
-        while stop < len(keys) and (keys[stop] in run or len(run) < STACK_SIZE):
-            run[keys[stop]] = None
-            stop += 1
-        _cache(list(run))
-        yield from problems[start:stop]
-        start = stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +237,7 @@ def solve_spectrum(problem: ReducedProblem, levels: int = 3) -> list[EigenState]
     """
     s, c = abs(problem.l), _shift(problem.nu)
     W, shift = _eigensolve(problem, levels, c)
-    alpha, beta, A0, J, *_ = _galerkin(s, c)
+    alpha, beta, A0, J, _ = _galerkin(s, c)
     V = np.linalg.eigh(A0 + problem.nu * J)[1][:, :len(W)]
     r, w = _rule(s, c)
     F = V.T @ _basis_values(s, c, alpha, beta, r)
@@ -275,7 +257,7 @@ def solve_spectrum(problem: ReducedProblem, levels: int = 3) -> list[EigenState]
             for j in range(len(W))]
 
 
-def _eigensolve(problem: ReducedProblem, levels: int, c: float | None = None
+def _eigensolve(problem: ReducedProblem, levels: int, c: float
                 ) -> tuple[list[float], list[float]]:
     """Eigenvalue stage of a solve, with every check on the Galerkin matrix: the lowest
     ``levels`` eigenvalues W and their Ritz shifts in the c basis, as lists. It computes
@@ -283,9 +265,8 @@ def _eigensolve(problem: ReducedProblem, levels: int, c: float | None = None
     if not hasattr(type(levels), "__index__") or levels < 1:     # what operator.index accepts
         raise ValueError(f"levels={levels!r} must be an integer >= 1")
     l, nu = problem.l, problem.nu
-    c = _shift(nu) if c is None else c
     at = f"l={l}, nu={nu:g}, shift c={c:g}"
-    _, _, A0, J, defect, *_ = _galerkin(abs(l), c)
+    _, _, A0, J, defect = _galerkin(abs(l), c)
     if levels > CHECK_SIZE or not defect <= GRAM_TOL:
         raise NotConverged(f"basis cannot resolve {levels} levels at {at} "
                            f"(Gram defect {defect:.1e})")
@@ -302,6 +283,26 @@ def _eigensolve(problem: ReducedProblem, levels: int, c: float | None = None
     if np.any(W[1:] <= W[:-1]):
         raise SolverError(f"eigenvalues not strictly ordered at {at}")
     return W.tolist(), shift.tolist()
+
+
+def eigenvalues(problems: Sequence[ReducedProblem], levels: Sequence[int]) -> list[list[float]]:
+    """The lowest ``levels[k]`` eigenvalues of each ``problems[k]``, from the eigenvalue
+    stage with all its checks. The distinct bases of each run of problems are built
+    first, as one stack of at most STACK_SIZE, and the run is solved before the next
+    is built, so none is evicted before it is used."""
+    if len(levels) != len(problems):
+        raise ValueError(f"{len(levels)} level counts for {len(problems)} problems")
+    keys = [(abs(p.l), _shift(p.nu)) for p in problems]
+    Ws, start = [], 0
+    while start < len(keys):
+        run, stop = {}, start
+        while stop < len(keys) and (keys[stop] in run or len(run) < STACK_SIZE):
+            run[keys[stop]] = None
+            stop += 1
+        _cache(list(run))
+        Ws += [_eigensolve(problems[k], levels[k], keys[k][1])[0] for k in range(start, stop)]
+        start = stop
+    return Ws
 
 
 def expectation_r(state: EigenState) -> float:
@@ -337,16 +338,14 @@ def hft_check(problem: ReducedProblem, j: int) -> HftCheck:
 def curve_scan(l: int, branches: int, nu_grid: Sequence[float]) -> list[SpectralCurve]:
     """Sample branches j < branches over a strictly increasing nu grid.
 
-    Eigenvalues at each nu come from the eigenvalue stage alone, with its
-    checks, after the grid's bases are built in stacks, and are indexed by
+    Eigenvalues at each nu come from :func:`eigenvalues`, and are indexed by
     sorted order; branches of a fixed l never cross. Nothing is sampled.
     Raises :class:`MonotonicityViolation` if any branch fails to increase.
     """
     nu_grid = [float(v) for v in nu_grid]
     if any(b <= a for a, b in zip(nu_grid, nu_grid[1:])):
         raise ValueError("nu_grid must be strictly increasing")
-    problems = [ReducedProblem(l, nu) for nu in nu_grid]
-    levels = [_eigensolve(p, branches)[0] for p in _prebuilt(problems)]
+    levels = eigenvalues([ReducedProblem(l, nu) for nu in nu_grid], [branches] * len(nu_grid))
     curves = []
     for j in range(branches):
         W = [Ws[j] for Ws in levels]

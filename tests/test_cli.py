@@ -7,6 +7,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from radspec import spectrum
 from radspec.analysis import branch_fit_points, compare_fit_to_published, fit_cubic
 from radspec.cli import main
 
@@ -363,6 +364,31 @@ def test_energy_theta_sweep_is_continuous(runner):
     Es = [float(r[1]) for r in rows[1:]]
     assert len(Es) == 3
     assert Es[0] < Es[1] < Es[2]
+
+
+def test_energy_sweep_builds_its_bases_as_one_stack(runner, monkeypatch):
+    # the 50 nu of the sweep need 11 shifts, all known before the first solve
+    stacks, build = [], spectrum._build
+
+    def counting(keys):
+        stacks.append(list(keys))
+        return build(keys)
+
+    monkeypatch.setattr(spectrum, "_bases", type(spectrum._bases)())
+    monkeypatch.setattr(spectrum, "_build", counting)
+    res = runner.invoke(main, ["energy", "--theta-min", "1", "--theta-max", "2",
+                               "--theta-steps", "50", "--a", "-3"])
+    assert res.exit_code == 0
+    assert [len(keys) for keys in stacks] == [11]
+
+
+def test_energy_sweep_checks_every_theta_before_it_solves(runner):
+    # theta = 0.01 maps to nu ~ 1.7e4, which the basis cannot resolve, but theta = -0.245
+    # has alpha^2 < 0: the invalid input is reported, not the solve that would fail first
+    res = runner.invoke(main, ["energy", "--theta-min", "0.01", "--theta-max", "-0.5",
+                               "--theta-steps", "3", "--a", "50", "--varpi", "0.1"])
+    assert res.exit_code == 1
+    assert "error: InvalidAlpha" in res.output and "NotConverged" not in res.output
 
 
 @pytest.mark.parametrize("args", [

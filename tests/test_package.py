@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -16,6 +17,19 @@ def test_all_names_resolve_and_match_module_lists():
     modules = analysis.__all__ + frobenius.__all__ + spectrum.__all__
     assert len(set(modules)) == len(modules)
     assert set(radspec.__all__) == set(modules)
+
+
+def test_no_module_imports_a_private_spectrum_name():
+    # the eigenvalue stage has one entry point, spectrum.eigenvalues
+    paths = [path for path in (SRC / "radspec").glob("*.py") if path.stem != "spectrum"]
+    assert {path.stem for path in paths} >= {"analysis", "checks", "cli"}
+    private = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level, node.module) in ((1, "spectrum"), (0, "radspec.spectrum"))):
+                private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_cli_import_does_not_load_scipy():

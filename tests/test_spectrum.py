@@ -16,6 +16,7 @@ from radspec.spectrum import (
     NotConverged,
     SolverError,
     curve_scan,
+    eigenvalues,
     expectation_r,
     hft_check,
     solve_spectrum,
@@ -46,11 +47,14 @@ def _sample_on(monkeypatch, r_max, n=spectrum.QUAD_NODES, r_min=0.0):
 def test_levels_must_be_a_positive_integer():
     problem = ReducedProblem(0, 0.0)
     for levels in (0, -1, 2.5, 2.0, "3"):
-        for solve in (solve_spectrum, spectrum._eigensolve):
-            with pytest.raises(ValueError, match="levels="):
-                solve(problem, levels)
+        with pytest.raises(ValueError, match="levels="):
+            solve_spectrum(problem, levels)
+        with pytest.raises(ValueError, match="levels="):
+            eigenvalues([problem], [levels])
         with pytest.raises(ValueError, match="levels="):
             curve_scan(0, levels, [0.0])
+    with pytest.raises(ValueError, match="2 level counts for 1 problems"):
+        eigenvalues([problem], [1, 2])
     assert [st.j for st in solve_spectrum(problem, 1)] == [0]
 
 
@@ -127,9 +131,13 @@ def test_error_estimate_within_tolerance_on_returned_states():
 
 @pytest.mark.parametrize("s, c", [(0, 0.0), (1, 0.5), (2, 6.0), (7, 0.0), (30, 10.0), (60, 30.0)])
 def test_galerkin_node_values_are_the_sampling_recurrence(s, c):
-    # one recurrence: the Gram check certifies the values that sampling reproduces
-    alpha, beta, *_, x, F = spectrum._galerkin(s, c)
-    assert np.array_equal(F, spectrum._basis_values(s, c, alpha, beta, x))
+    # one recurrence: the Gram check certifies the values that sampling reproduces, so
+    # sampling the cached recurrence on the build's nodes gives its defect bit for bit
+    alpha, beta, *_, defect = spectrum._galerkin(s, c)
+    x, wq = spectrum._mapped(*spectrum._window(s, c))
+    F = spectrum._basis_values(s, c, alpha, beta, x)
+    gram = (F * (wq * x)) @ F.T
+    assert np.max(np.abs(gram - np.eye(spectrum.BASIS_SIZE))) == defect
 
 
 @pytest.mark.parametrize("s", [0, 1, 5, 40])
@@ -349,17 +357,17 @@ def test_eigenvalue_stage_raises_as_solve_spectrum(monkeypatch, l, nu, r_max, er
     if error is DomainTooSmall:
         # the tail check reads the sampled ground state, so only sampling raises it
         curve_scan(l, 3, [nu])
-        spectrum._eigensolve(ReducedProblem(l, nu), 3)
+        eigenvalues([ReducedProblem(l, nu)], [3])
         return
     with pytest.raises(error):
         curve_scan(l, 3, [nu])
     with pytest.raises(error):
-        spectrum._eigensolve(ReducedProblem(l, nu), 3)
+        eigenvalues([ReducedProblem(l, nu)], [3])
 
 
 @pytest.mark.parametrize("l", [39, 40, 50, 60])
 def test_eigenvalue_stage_is_exact_at_high_momentum(l):
-    Ws = spectrum._eigensolve(ReducedProblem(l, 0.0), 3)[0]
+    Ws = eigenvalues([ReducedProblem(l, 0.0)], [3])[0]
     scanned = [curve.W[0] for curve in curve_scan(l, 3, [0.0])]
     for j, (w, v) in enumerate(zip(Ws, scanned)):
         exact = 2 * (2 * j + l + 1)
@@ -372,7 +380,7 @@ def test_sampled_solves_reach_the_envelope_edges(l, nu):
     # the ground state lies beyond r = 12 (l >= 39) or within r < 1 (l = 0, nu >= 510):
     # the sampling rule must follow the state, as the basis window does
     problem = ReducedProblem(l, nu)
-    assert [st.W for st in solve_spectrum(problem)] == spectrum._eigensolve(problem, 3)[0]
+    assert [st.W for st in solve_spectrum(problem)] == eigenvalues([problem], [3])[0]
     assert hft_check(problem, 0).discrepancy <= 1e-5
 
 
@@ -383,7 +391,8 @@ def test_ground_state_expectation_is_the_branch_slope():
     for l, nu in ((0, 0.0), (0, 5.0), (0, 200.0), (0, 300.0), (0, 1000.0), (0, -1000.0),
                   (1, 12.0), (2, -1000.0), (5, -50.0), (20, 50.0), (40, 0.0), (60, 0.0)):
         problem, c = ReducedProblem(l, nu), spectrum._shift(nu)
-        _, _, A0, J, _, x, _ = spectrum._galerkin(l, c)
+        _, _, A0, J, _ = spectrum._galerkin(l, c)
+        x = spectrum._mapped(*spectrum._window(l, c))[0]     # the nodes that built J
         v = np.linalg.eigh(A0 + nu * J)[1][:, 0]
         slope = v @ J @ v
         st = solve_spectrum(problem, 1)[0]
@@ -414,7 +423,7 @@ def test_grid_that_misses_every_state_raises_instead_of_nan(monkeypatch):
     # every node beyond r = 50: exp(-r^2/2) underflows at each one, while W is exact
     _sample_on(monkeypatch, 1e4, 100, r_min=50.0)
     problem = ReducedProblem(0, 0.0)
-    assert spectrum._eigensolve(problem, 3)[0][0] == pytest.approx(2.0, abs=1e-12)
+    assert eigenvalues([problem], [3])[0][0] == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(SolverError, match="misses a state"):
         solve_spectrum(problem)
     with pytest.raises(SolverError, match="misses a state"):
