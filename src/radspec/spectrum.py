@@ -14,14 +14,16 @@ run in the sampling recurrence's operation order (Paige's), so the Gram check
 sees exactly the values that sampling reproduces; the pass runs on a stack of
 shifts at once, each row as it would run alone. A leading block of A is the
 Galerkin matrix of a smaller basis, so by Cauchy interlacing its Ritz values
-lie above those of A: their gap is the convergence check and error estimate.
+lie above those of A: the gap between a block and its leading block CHECK_GAP
+smaller is the convergence check and error estimate. Each request is solved on
+the first of the RUNGS blocks (32, then all 60 functions) that passes it.
 One window, outside which the weight is below e^-169 of its peak, carries the
 quadrature; :func:`solve_spectrum` samples the states on a Gauss-Legendre rule
 over the same window widened by 4 at each end, so the rule follows the states
 in l and nu with nothing to set, and its nodes are not those that built J.
 Both rules map one stored QUAD_NODES-node Gauss-Legendre rule on [-1, 1].
 Eigenvalues come from ``eigvalsh``; only :func:`solve_spectrum`, which samples
-the states, computes eigenvectors.
+the states, computes eigenvectors, on the accepted block.
 
 Each branch W_{j,l}(nu) is continuous and strictly increasing in nu
 (dW/dnu = <r> > 0); the isolated truncation energies of
@@ -49,7 +51,8 @@ __all__ = [
 
 TAIL_RATIO = 1e-12    # required |F(last node)| / max|F| for the sampled ground state
 BASIS_SIZE = 60       # polynomials in the Galerkin basis
-CHECK_SIZE = BASIS_SIZE - 8   # leading block whose Ritz values check convergence
+RUNGS = (32, BASIS_SIZE)      # leading blocks a request is solved on, tried smallest first
+CHECK_GAP = 8         # a rung's Ritz values are checked against its leading block this much smaller
 QUAD_NODES = 240      # Gauss-Legendre nodes discretizing the weight
 GRAM_TOL = 1e-10      # allowed |<F_k, F_l> - delta_kl| on the quadrature, |norm - 1| on the rule
 CONVERGENCE_TOL = 1e-8    # a level is accepted when its Ritz shift is below this * max(1, |W|)
@@ -76,13 +79,13 @@ class MonotonicityViolation(SolverError):
 
 def _basis_values(s: int, c: float, alpha: np.ndarray, beta: np.ndarray,
                   r: np.ndarray) -> np.ndarray:
-    """F_k(r) = r^s exp(-(r-c)^2/2) p_k(r), one row per k, with the p_k given by
-    r p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1}, p_0 = 1 / beta[0],
+    """F_k(r) = r^s exp(-(r-c)^2/2) p_k(r), one row per k < len(beta), with the p_k
+    given by r p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1}, p_0 = 1 / beta[0],
     in _galerkin's order."""
-    F = np.empty((BASIS_SIZE,) + np.shape(r))
+    F = np.empty((len(beta),) + np.shape(r))
     F[0] = np.exp(s * np.log(r) - (r - c) ** 2 / 2) / beta[0]
     F[1] = (r * F[0] - alpha[0] * F[0]) / beta[1]
-    for k in range(1, BASIS_SIZE - 1):
+    for k in range(1, len(beta) - 1):
         F[k + 1] = (r * F[k] - beta[k] * F[k - 1] - alpha[k] * F[k]) / beta[k + 1]
     return F
 
@@ -156,7 +159,10 @@ def _build(keys: Sequence[tuple[int, float]]) -> list[tuple]:
         C = 2 * np.tril(J, -1) - (2 * s + 1) * np.tril(B, -1)     # J's subdiagonal is beta[1:]
         A0 = C @ C.transpose(0, 2, 1) + (2 * s + 2 - c * c) * eye - (2 * s + 1) * c * B + 2 * c * J
         defect = np.max(np.abs((F * wx[:, None]) @ Ft - eye), axis=(1, 2))
-    return [(alpha[i], beta[i], A0[i], J[i], float(defect[i])) for i in range(m)]
+    del F, Ft, B, C
+    # copies, so that a cached basis does not keep its whole stack alive
+    return [(alpha[i].copy(), beta[i].copy(), A0[i].copy(), J[i].copy(), float(defect[i]))
+            for i in range(m)]
 
 
 _bases: OrderedDict[tuple[int, float], tuple] = OrderedDict()
@@ -186,9 +192,10 @@ def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class EigenState:
-    """One eigenstate: eigenvalue ``W``, its Ritz shift ``error_estimate``, and
-    ``F`` sampled at the nodes ``r`` of the Gauss-Legendre rule with weights ``w``,
-    normalized so that sum w r F^2 (int |F|^2 r dr) equals 1 and positive at its peak.
+    """One eigenstate: eigenvalue ``W``, its Ritz shift ``error_estimate`` on the
+    ``basis_size`` leading basis functions that solved it, and ``F`` sampled at the
+    nodes ``r`` of the Gauss-Legendre rule with weights ``w``, normalized so that
+    sum w r F^2 (int |F|^2 r dr) equals 1 and positive at its peak.
     """
 
     l: int
@@ -196,6 +203,7 @@ class EigenState:
     j: int
     W: float
     error_estimate: float
+    basis_size: int
     r: np.ndarray
     w: np.ndarray
     F: np.ndarray
@@ -236,11 +244,12 @@ def solve_spectrum(problem: ReducedProblem, levels: int = 3) -> list[EigenState]
     than GRAM_TOL, as when the rule misses it.
     """
     s, c = abs(problem.l), _shift(problem.nu)
-    W, shift = _eigensolve(problem, levels, c)
+    _check_levels(levels)
+    W, shift, K = _eigensolve(problem, levels, c)
     alpha, beta, A0, J, _ = _galerkin(s, c)
-    V = np.linalg.eigh(A0 + problem.nu * J)[1][:, :len(W)]
+    V = np.linalg.eigh(A0[:K, :K] + problem.nu * J[:K, :K])[1][:, :len(W)]
     r, w = _rule(s, c)
-    F = V.T @ _basis_values(s, c, alpha, beta, r)
+    F = V.T @ _basis_values(s, c, alpha[:K], beta[:K], r)
     tail, peak = abs(F[0, -1]), np.max(np.abs(F[0]))
     if peak > 0 and not tail < TAIL_RATIO * peak:     # a rule of zeros fails the norm check
         raise DomainTooSmall(
@@ -253,36 +262,43 @@ def solve_spectrum(problem: ReducedProblem, levels: int = 3) -> list[EigenState]
                           f"state at {problem}: norm off 1 by {off:.2e}")
     F /= np.sqrt(norm)[:, None]
     F *= np.sign(F[np.arange(len(W)), np.argmax(np.abs(F), axis=1)])[:, None]
-    return [EigenState(problem.l, problem.nu, j, W[j], shift[j], r, w, F[j])
+    return [EigenState(problem.l, problem.nu, j, W[j], shift[j], K, r, w, F[j])
             for j in range(len(W))]
 
 
-def _eigensolve(problem: ReducedProblem, levels: int, c: float
-                ) -> tuple[list[float], list[float]]:
-    """Eigenvalue stage of a solve, with every check on the Galerkin matrix: the lowest
-    ``levels`` eigenvalues W and their Ritz shifts in the c basis, as lists. It computes
-    no eigenvector and samples nothing."""
+def _check_levels(levels: int) -> None:
     if not hasattr(type(levels), "__index__") or levels < 1:     # what operator.index accepts
         raise ValueError(f"levels={levels!r} must be an integer >= 1")
+
+
+def _eigensolve(problem: ReducedProblem, levels: int, c: float, rungs: Sequence[int] = RUNGS
+                ) -> tuple[list[float], list[float], int]:
+    """Eigenvalue stage of a solve, with every check on the Galerkin matrix: the lowest
+    ``levels`` eigenvalues W and their Ritz shifts in the c basis, as lists, and the
+    size K of the first of ``rungs`` whose leading K x K block passes the Ritz test
+    against its leading K - CHECK_GAP. It computes no eigenvector and samples nothing."""
     l, nu = problem.l, problem.nu
     at = f"l={l}, nu={nu:g}, shift c={c:g}"
     _, _, A0, J, defect = _galerkin(abs(l), c)
-    if levels > CHECK_SIZE or not defect <= GRAM_TOL:
+    if levels > rungs[-1] - CHECK_GAP or not defect <= GRAM_TOL:
         raise NotConverged(f"basis cannot resolve {levels} levels at {at} "
                            f"(Gram defect {defect:.1e})")
     A = A0 + nu * J
-    try:
-        W = np.linalg.eigvalsh(A)[:levels]
-        coarse = np.linalg.eigvalsh(A[:CHECK_SIZE, :CHECK_SIZE])[:levels]
-    except np.linalg.LinAlgError as exc:
-        raise NotConverged(f"Galerkin eigensolve failed at {at}: {exc}") from exc
-    shift = np.abs(coarse - W)     # one-signed by interlacing, up to round-off
-    tol = CONVERGENCE_TOL * np.maximum(1.0, np.abs(W))
-    if not (np.all(shift < tol) and np.all(np.isfinite(W))):
+    for K in [size for size in rungs if levels <= size - CHECK_GAP]:
+        try:
+            W = np.linalg.eigvalsh(A[:K, :K])[:levels]
+            coarse = np.linalg.eigvalsh(A[:K - CHECK_GAP, :K - CHECK_GAP])[:levels]
+        except np.linalg.LinAlgError as exc:
+            raise NotConverged(f"Galerkin eigensolve failed at {at}: {exc}") from exc
+        shift = np.abs(coarse - W)     # one-signed by interlacing, up to round-off
+        tol = CONVERGENCE_TOL * np.maximum(1.0, np.abs(W))
+        if np.all(shift < tol) and np.all(np.isfinite(W)):
+            break
+    else:
         raise NotConverged(f"Ritz shifts {shift} at {at} are not all below {tol}")
     if np.any(W[1:] <= W[:-1]):
         raise SolverError(f"eigenvalues not strictly ordered at {at}")
-    return W.tolist(), shift.tolist()
+    return W.tolist(), shift.tolist(), K
 
 
 def eigenvalues(problems: Sequence[ReducedProblem], levels: Sequence[int]) -> list[list[float]]:
@@ -292,6 +308,8 @@ def eigenvalues(problems: Sequence[ReducedProblem], levels: Sequence[int]) -> li
     is built, so none is evicted before it is used."""
     if len(levels) != len(problems):
         raise ValueError(f"{len(levels)} level counts for {len(problems)} problems")
+    for n in levels:
+        _check_levels(n)
     keys = [(abs(p.l), _shift(p.nu)) for p in problems]
     Ws, start = [], 0
     while start < len(keys):
@@ -318,17 +336,18 @@ def hft_check(problem: ReducedProblem, j: int) -> HftCheck:
 
     The slope is the central difference of eigenvalues over nu +- HFT_DELTA;
     <r> is the Gauss-Legendre sum over the eigenfunction sampled at nu itself,
-    on nodes that did not build J, so the two sides are independent. For
-    integer nu in -3..12, j <= 2: <= 4.0e-8 for l = 0, 8.4e-9 for l = 1..3,
-    the central difference's own error.
+    on nodes that did not build J, so the two sides are independent. All three
+    solves use the middle one's shift and block. For integer nu in -3..12,
+    j <= 2: <= 9.2e-9 for l = 0, 1.8e-9 for l = 1..3, the central difference's
+    own error.
     """
     if j < 0:
         raise ValueError(f"branch j={j} must be >= 0")
-    # one basis for all three solves; the slope must not see a shift jump
-    c = _shift(problem.nu)
-    lo, hi = (_eigensolve(ReducedProblem(problem.l, problem.nu + d), j + 1, c)[0][j]
-              for d in (-HFT_DELTA, HFT_DELTA))
     mid = solve_spectrum(problem, j + 1)
+    # one basis and one block for all three solves; the slope must not see a jump
+    c, rung = _shift(problem.nu), (mid[j].basis_size,)
+    lo, hi = (_eigensolve(ReducedProblem(problem.l, problem.nu + d), j + 1, c, rung)[0][j]
+              for d in (-HFT_DELTA, HFT_DELTA))
     slope = (hi - lo) / (2 * HFT_DELTA)
     rexp = expectation_r(mid[j])
     return HftCheck(dW_dnu=slope, r_expectation=rexp,

@@ -35,6 +35,31 @@ def _within_tolerance(st):
     return st.error_estimate <= spectrum.CONVERGENCE_TOL * max(1.0, abs(st.W))
 
 
+def _counting_builds(monkeypatch):
+    """Empty the basis cache and record the keys of every stack built from now on."""
+    stacks, build = [], spectrum._build
+
+    def counting(keys):
+        stacks.append(list(keys))
+        return build(keys)
+
+    monkeypatch.setattr(spectrum, "_bases", type(spectrum._bases)())
+    monkeypatch.setattr(spectrum, "_build", counting)
+    return stacks
+
+
+def _recording_eigvalsh(monkeypatch):
+    """Record the matrix order of every eigvalsh call from now on."""
+    orders, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        orders.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return orders
+
+
 def _sample_on(monkeypatch, r_max, n=spectrum.QUAD_NODES, r_min=0.0):
     """Make solve_spectrum sample on the n-node Gauss-Legendre rule over [r_min, r_max]."""
     t, wt = np.polynomial.legendre.leggauss(n)
@@ -56,6 +81,15 @@ def test_levels_must_be_a_positive_integer():
     with pytest.raises(ValueError, match="2 level counts for 1 problems"):
         eigenvalues([problem], [1, 2])
     assert [st.j for st in solve_spectrum(problem, 1)] == [0]
+
+
+def test_bad_levels_are_rejected_before_any_build(monkeypatch):
+    stacks = _counting_builds(monkeypatch)
+    with pytest.raises(ValueError, match="levels=0"):
+        curve_scan(0, 0, np.linspace(-40.0, 0.0, 81))
+    with pytest.raises(ValueError, match="levels=0"):
+        eigenvalues([ReducedProblem(0, 0.0)], [0])
+    assert stacks == []
 
 
 # --- oscillator limit --------------------------------------------------------
@@ -121,6 +155,50 @@ def test_ritz_values_do_not_increase_with_basis_size():
             assert max(abs(w[0] - 2.0) for w in ritz) <= 1e-12
 
 
+# --- basis size --------------------------------------------------------------
+
+def test_oscillator_levels_solve_on_the_small_rung():
+    for l in (-2, -1, 0, 1, 2):
+        for st in solve_spectrum(ReducedProblem(l, 0.0), 3):
+            assert st.basis_size == spectrum.RUNGS[0] == 32
+            assert abs(st.W - 2 * (2 * st.j + abs(l) + 1)) <= 1e-12, (l, st.j)
+
+
+def test_failed_small_rung_falls_back_to_the_whole_basis():
+    # at (10, 50) the 32-block's Ritz shifts for three levels reach the tolerance
+    states = solve_spectrum(ReducedProblem(10, 50.0), 3)
+    _, _, A0, J, _ = spectrum._galerkin(10, spectrum._shift(50.0))
+    assert [st.basis_size for st in states] == [spectrum.BASIS_SIZE] * 3
+    assert [st.W for st in states] == np.linalg.eigvalsh(A0 + 50.0 * J)[:3].tolist()
+
+
+def test_more_levels_than_the_small_check_block_skip_its_rung(monkeypatch):
+    orders = _recording_eigvalsh(monkeypatch)
+    eigenvalues([ReducedProblem(0, 0.0)], [25])
+    assert orders == [60, 52]
+    orders.clear()
+    eigenvalues([ReducedProblem(0, 0.0)], [24])     # tried on 32, where level 24 fails
+    assert orders == [32, 24, 60, 52]
+
+
+@pytest.mark.parametrize("l, nu, orders", [
+    (1, 1.3, [32, 24] * 3),
+    (10, 50.0, [32, 24] + [60, 52] * 3),     # the middle solve falls back, nu +- delta start there
+])
+def test_hft_check_holds_its_three_solves_to_one_block(monkeypatch, l, nu, orders):
+    recorded = _recording_eigvalsh(monkeypatch)
+    hft_check(ReducedProblem(l, nu), 2)
+    assert recorded == orders
+
+
+def test_eigenvalues_equal_solve_spectrum_on_both_rungs():
+    cases = [(1, 1.3, 3), (10, 50.0, 3), (0, -200.0, 3), (0, -200.0, 25), (35, 50.0, 3), (40, 0.0, 3)]
+    problems = [ReducedProblem(l, nu) for l, nu, _ in cases]
+    solved = [solve_spectrum(p, k) for p, (*_, k) in zip(problems, cases)]
+    assert {st.basis_size for sts in solved for st in sts} == set(spectrum.RUNGS)
+    assert eigenvalues(problems, [k for *_, k in cases]) == [[st.W for st in sts] for sts in solved]
+
+
 def test_error_estimate_within_tolerance_on_returned_states():
     for l, nu in ((0, 0.0), (1, -11.3), (2, 6.0), (0, 50.0)):
         for st in solve_spectrum(ReducedProblem(l, nu), 4):
@@ -153,20 +231,22 @@ def test_stacked_basis_build_is_the_build_alone(s):
 
 def test_scan_past_the_cache_builds_each_basis_once(monkeypatch):
     # 201 shifts, more than the cache holds: each stack is solved before the next
-    stacks, build = [], spectrum._build
-
-    def counting(keys):
-        stacks.append(list(keys))
-        return build(keys)
-
-    monkeypatch.setattr(spectrum, "_bases", type(spectrum._bases)())
-    monkeypatch.setattr(spectrum, "_build", counting)
+    stacks = _counting_builds(monkeypatch)
     grid = np.linspace(-200.0, 0.0, 401)
     curve_scan(1, 2, grid)
     built = [key for keys in stacks for key in keys]
     assert sorted(built) == sorted({(1, spectrum._shift(nu)) for nu in grid})
     assert len(built) == 201 > spectrum.CACHE_SIZE
     assert max(map(len, stacks)) == spectrum.STACK_SIZE
+
+
+def test_cached_bases_own_their_arrays(monkeypatch):
+    # a view would keep its whole stack alive after the other bases of it are evicted
+    monkeypatch.setattr(spectrum, "_bases", type(spectrum._bases)())
+    eigenvalues([ReducedProblem(0, -float(k)) for k in range(32)], [3] * 32)
+    assert len(spectrum._bases) == spectrum.STACK_SIZE
+    for alpha, beta, A0, J, _ in spectrum._bases.values():
+        assert all(arr.base is None for arr in (alpha, beta, A0, J))
 
 
 def test_stored_rule_is_gauss_legendre():
@@ -188,7 +268,7 @@ def test_galerkin_gram_defect_stays_at_round_off():
 # --- accuracy at exact values ------------------------------------------------
 
 def test_oscillator_levels_within_round_off():
-    # W = 2(2j + |l| + 1) at nu = 0; worst about 2.3e-12, at l = 0, j = 2
+    # W = 2(2j + |l| + 1) at nu = 0; worst about 6.4e-13, at l = 0, j = 2
     for l in (0, 1, 2, 3, 4, 5, 10, 20, 30):
         for j, curve in enumerate(curve_scan(l, 3, [0.0])):
             exact = 2 * (2 * j + l + 1)
@@ -197,7 +277,7 @@ def test_oscillator_levels_within_round_off():
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_truncation_points_within_round_off_of_their_branch(l):
-    # each truncation energy is an exact eigenvalue; worst about 1.8e-12
+    # each truncation energy is an exact eigenvalue; worst about 1.1e-13
     for res in match_truncation_to_curves(truncation_point_set(22, 3, l)).results:
         assert res.matched_branch == res.i - 1
         assert res.distance <= 1e-11 * max(1.0, abs(res.W_truncation)), (res.n, res.i)
@@ -401,7 +481,7 @@ def test_ground_state_expectation_is_the_branch_slope():
 
 
 def test_hft_check_at_l0_is_the_central_difference_error():
-    # F(0) != 0 only at l = 0; <r> on the rule leaves the slope's own error, 4.0e-8
+    # F(0) != 0 only at l = 0; <r> on the rule leaves the slope's own error, 9.2e-9
     worst = max(hft_check(ReducedProblem(0, float(nu)), j).discrepancy
                 for nu in range(-3, 13) for j in range(3))
     assert worst <= 2e-7
@@ -437,7 +517,7 @@ def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
     basis_values, eigh = spectrum._basis_values, np.linalg.eigh
 
     def recording(s, c, alpha, beta, r):
-        sizes.append(np.size(r))
+        sizes.append((len(beta), np.size(r)))
         return basis_values(s, c, alpha, beta, r)
 
     def counting(a, *args, **kwargs):
@@ -453,5 +533,6 @@ def test_eigenvalue_only_callers_never_sample_the_full_grid(monkeypatch):
     assert CliRunner().invoke(main, sweep).exit_code == 0
     assert sizes == [] and eighs == []
     solve_spectrum(ReducedProblem(1, 2.0))     # the recorders see a sampling solve
-    assert sizes == [spectrum.QUAD_NODES]     # the rule's nodes
-    assert eighs == [(spectrum.BASIS_SIZE, spectrum.BASIS_SIZE)]     # one, of A0 + nu J
+    K = spectrum.RUNGS[0]     # the block that solved it
+    assert sizes == [(K, spectrum.QUAD_NODES)]     # its functions on the rule's nodes
+    assert eighs == [(K, K)]     # one, of its block of A0 + nu J
