@@ -144,11 +144,12 @@ def truncation_energy(n: int, s: int, nu):
 # ---------------------------------------------------------------------------
 # truncation polynomial and its roots: one recurrence for d_j in mu = nu^2
 
-def _integer_steps(n: int, s: int) -> list[tuple[int, int, int, bool]]:
+@lru_cache(maxsize=None)
+def _integer_steps(n: int, s: int) -> tuple[tuple[int, int, int, bool], ...]:
     # (A_j, B_j, D_j, j even) for j = -1..n: D_j d_{j+2} = A_j m_j d_{j+1} + B_j d_j
     # is the recurrence with W pinned by order-n truncation, times D_j
-    return [(2 * j + 2 * s + 3, -4 * (n - j), 2 * (j + 2) * (j + 2 * s + 2), j % 2 == 0)
-            for j in range(-1, n + 1)]
+    return tuple((2 * j + 2 * s + 3, -4 * (n - j), 2 * (j + 2) * (j + 2 * s + 2), j % 2 == 0)
+                 for j in range(-1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -222,9 +223,10 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
     mu_seeds = _jacobi_seeds(n, s, d)
     # refine on the dyadic grid m / 2^K with 2^-K <= ROOT_REL_TOL min(1, mu/2)
     # at the smallest seed mu: within tolerance relative to every root, with
-    # a factor 2 to spare for the seed's float error
-    cell = ROOT_REL_TOL * min(1, Fraction(min(mu_seeds, default=2.0)) / 2)
-    K = (-(-cell.denominator // cell.numerator) - 1).bit_length()
+    # a factor 2 to spare for the seed's float error. min(1, mu/2) = a / 2b,
+    # and K is the bit length of ceil(1/cell) - 1.
+    a, b = min([*mu_seeds, 2.0]).as_integer_ratio()
+    K = ((2 * b * ROOT_REL_TOL.denominator - 1) // (a * ROOT_REL_TOL.numerator)).bit_length()
     # 2^(K d) Q(m / 2^K): an integer polynomial in m, descending
     scaled = [c << (K * (d - k)) for k, c in enumerate(Q)][::-1]
 
@@ -281,20 +283,27 @@ def root_isolation(n: int, l: int) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=None)
-def _series_at_root(n: int, s: int, mu: Fraction) -> tuple[tuple[int, ...], int]:
-    """(D, E): d_j = D_j / E, j = 0..n+2, at the exact root mu; c_j = d_j nu^(j mod 2).
+def _series_at_root(n: int, s: int, p: int,
+                    q: int) -> tuple[tuple[int, ...], int, tuple[float, ...]]:
+    """(D, E, d): d_j = D_j / E, j = 0..n+2, at the exact root mu = p/q, and each
+    d_j rounded to float once; c_j = d_j nu^(j mod 2).
 
-    Each d_j is formed over its own E_j, which divides E = E_{n+2}.
+    The recurrence keeps d_j over E_j, where E_{j+2} = E_{j+1} D_j (times q for
+    even j). Each numerator is scaled to E = E_{n+2} by the suffix product of
+    the step ratios E_{k+1} / E_k, k >= j, so no big division runs.
     """
-    p, q = mu.numerator, mu.denominator
-    nums, dens, ratio = [0, 1], [1, 1], 1        # d_{-1}, d_0 over E_j; E_{j+1} / E_j
+    nums, ratios, ratio = [0, 1], [], 1          # d_{-1}, d_0 over E_j; E_{j+1} / E_j
     for A, B, D, even in _integer_steps(n, s):
         mp, mq = (p, q) if even else (1, 1)
         nums.append(A * mp * nums[-1] + B * mq * ratio * nums[-2])
         ratio = D * mq
-        dens.append(dens[-1] * ratio)
-    E = dens[-1]
-    return tuple(num * (E // den) for num, den in zip(nums[1:], dens[1:])), E
+        ratios.append(ratio)
+    D, E = [nums[-1]], 1
+    for num, ratio in zip(nums[-2:0:-1], reversed(ratios)):
+        E *= ratio
+        D.append(num * E)
+    D.reverse()
+    return tuple(D), E, tuple(Dj / E for Dj in D)
 
 
 def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
@@ -305,21 +314,23 @@ def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
     and are rounded to float last; the closure conditions c_{n+1} = c_{n+2} = 0
     are verified to 1e-10 relative to max |c_j|, and c_n must not vanish.
     """
-    records = _root_data(n, abs(l))
+    s = abs(l)
+    records = _root_data(n, s)
     if not 1 <= i <= len(records):
         raise IndexOutOfRange(
             f"root index i={i} outside 1..{len(records)} for n={n}, l={l}")
     rec = records[i - 1]
-    D, E = _series_at_root(n, abs(l), rec.mu)
-    values = [Dj / E * (rec.nu if j % 2 else 1.0) for j, Dj in enumerate(D)]
-    scale = max(abs(v) for v in values[: n + 1])
+    p, q = rec.mu.numerator, rec.mu.denominator
+    _, _, d = _series_at_root(n, s, p, q)
+    values = [dj * rec.nu if j % 2 else dj for j, dj in enumerate(d)]
+    scale = max(map(abs, values[: n + 1]))
     if abs(values[n + 1]) > CLOSURE_TOL * scale or abs(values[n + 2]) > CLOSURE_TOL * scale:
         raise RootRefinementFailure(
             f"closure failed at n={n}, i={i}, l={l}: "
             f"c_{n+1}={values[n + 1]:.3e}, c_{n+2}={values[n + 2]:.3e}")
     if values[n] == 0:
         raise RootRefinementFailure(f"degenerate solution: c_n = 0 at n={n}, i={i}, l={l}")
-    W = float(2 * (n + abs(l) + 1) - rec.mu / 4)
+    W = (8 * (n + s + 1) * q - p) / (4 * q)        # 2(n+s+1) - mu/4, rounded once
     return TruncationSolution(
         n=n, i=i, l=l, nu_root=rec.nu, W=W, coeffs=tuple(values[: n + 1]),
         _mu=rec.mu)
@@ -357,7 +368,7 @@ def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> f
         p, q = sol._mu.numerator, sol._mu.denominator
         h, nu_den = math.isqrt((p << 320) // q) * (1 if sol.nu_root >= 0 else -1), 1 << 160
         Wn, Wd = 8 * (n + s + 1) * q - p, 4 * q        # W = 2(n+s+1) - mu/4
-        D, E = _series_at_root(n, s, sol._mu)
+        D, E, _ = _series_at_root(n, s, p, q)
         den = E << 160              # c_j = D_j / E, or D_j h / (E 2^160) for odd j
         N = [Dj * h if j % 2 else Dj << 160 for j, Dj in enumerate(D[: n + 1])]
     X, x_den = r.as_integer_ratio()

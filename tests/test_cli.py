@@ -54,15 +54,18 @@ def test_truncate_json(runner):
     assert payload == [{"l": 0, "n": 0, "i": 1, "nu": 0.0, "W": 2.0}]
 
 
-@pytest.mark.parametrize("l,digest", [
-    (0, "9dd17f292823d7f6afbfa2bcd6bd83b1601db53d4d1ca34f48c648ee90651c5d"),
-    (1, "5c862744740fec138eb618dd8a81dbc9d9bcc7bd8bed0fc62956ee37b5c582f6"),
-    (2, "2a66d3d34bbe985430f4d61ef0c34b79f4c1e83f1d54eb36d8923316fa053af2"),
-], ids=["l=0", "l=1", "l=2"])
-def test_truncate_csv_bytes_are_pinned(runner, l, digest):
-    # each root is an exact dyadic cell rounded once (math.sqrt, float(Fraction)),
-    # so these bytes do not depend on the platform
-    res = runner.invoke(main, ["truncate", "--l", str(l), "--n-max", "22", "--i-max", "23"])
+@pytest.mark.parametrize("l,n_max,digest", [
+    (0, 22, "9dd17f292823d7f6afbfa2bcd6bd83b1601db53d4d1ca34f48c648ee90651c5d"),
+    (1, 22, "5c862744740fec138eb618dd8a81dbc9d9bcc7bd8bed0fc62956ee37b5c582f6"),
+    (2, 22, "2a66d3d34bbe985430f4d61ef0c34b79f4c1e83f1d54eb36d8923316fa053af2"),
+    # the orders whose series at a root have the largest integers
+    (0, 40, "8ee4232b88771a8e9396dc5ee36987b418a6d337d399116b34c6141ac49af9b7"),
+], ids=["l=0", "l=1", "l=2", "l=0,n_max=40"])
+def test_truncate_csv_bytes_are_pinned(runner, l, n_max, digest):
+    # each root is an exact dyadic cell rounded once (math.sqrt, correctly rounded
+    # integer division), so these bytes do not depend on the platform
+    res = runner.invoke(main, ["truncate", "--l", str(l), "--n-max", str(n_max),
+                               "--i-max", str(n_max + 1)])
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 

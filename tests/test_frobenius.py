@@ -146,15 +146,48 @@ def test_cnp1_degree_parity_leading_sign(l):
         assert all(c == 0 for k, c in enumerate(poly.coeffs) if k % 2 != parity)
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", [0, 1, 2, 5, 10])
 def test_mu_recurrence_matches_public_recurrence(s):
-    """c_{n+1}(nu) and every c_j = d_j(nu^2) nu^(j mod 2) equal _series_coeffs exactly."""
+    """c_{n+1}(nu) and every c_j = d_j(nu^2) nu^(j mod 2) equal _series_coeffs exactly,
+    up to n = 40 and s = 10, where the integers of the series at a root are largest."""
     for nu in (Fraction(1, 3), Fraction(7, 2), Fraction(-5, 4)):
-        for n in range(0, 23):
+        for n in range(0, 41):
             c = _series_coeffs(n + 2, s, nu, truncation_energy(n, s, nu))
             assert _horner(cnp1_polynomial(n, s).coeffs, nu) == c[n + 1]
-            D, E = frobenius._series_at_root(n, s, nu * nu)
+            mu = nu * nu
+            D, E, _ = frobenius._series_at_root(n, s, mu.numerator, mu.denominator)
             assert [Fraction(Dj, E) * nu ** (j % 2) for j, Dj in enumerate(D)] == c
+
+
+def _mu_series(n, s, mu):
+    """d_0..d_{n+2} at mu = nu^2 in Fractions, from the reference recurrence at nu = 1
+    with W pinned by order-n truncation: d_{j+2} = A_j m_j d_{j+1} + B_j d_j, m_j = mu
+    for even j and 1 for odd j."""
+    one = Fraction(1)
+    d, prev = [one], 0
+    for j in range(-1, n + 1):
+        pair = _recurrence_coeffs(j, s, one, truncation_energy(n, s, one))
+        d.append(pair.A * (mu if j % 2 == 0 else 1) * d[-1] + pair.B * prev)
+        prev = d[-2]
+    return d
+
+
+def test_solver_records_round_the_exact_series_once():
+    """Every solver record with s <= 2, n <= 22: W is 2(n+s+1) - mu/4 rounded once,
+    and c_j is the exact d_j at its root mu rounded once, times nu_root for odd j."""
+    series = {}
+    for l in range(-2, 3):
+        s = abs(l)
+        for n in range(23):
+            for i in range(1, n + 2):
+                sol = polynomial_solution(n, i, l)
+                mu = sol._mu
+                assert sol.W == float(Fraction(2 * (n + s + 1)) - mu / 4), (n, i, l)
+                if (n, s, mu) not in series:
+                    series[n, s, mu] = _mu_series(n, s, mu)
+                exact = series[n, s, mu][: n + 1]
+                assert sol.coeffs == tuple(float(dj) * sol.nu_root if j % 2 else float(dj)
+                                           for j, dj in enumerate(exact)), (n, i, l)
 
 
 def test_cnp1_rejects_negative_order():
@@ -513,7 +546,7 @@ def _fraction_residual(sol, r, relative=False):
         root = Fraction(math.isqrt(mu.numerator * 2 ** 320 // mu.denominator), 2 ** 160)
         nu = root if sol.nu_root >= 0 else -root
         W = 2 * (n + s + 1) - mu / 4
-        D, E = frobenius._series_at_root(n, s, mu)
+        D, E, _ = frobenius._series_at_root(n, s, mu.numerator, mu.denominator)
         d = [Fraction(Dj, E) for Dj in D[: n + 1]]
         coeffs = [dj * nu if j % 2 else dj for j, dj in enumerate(d)]
     x = Fraction(r)
