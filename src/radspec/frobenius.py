@@ -147,9 +147,10 @@ def truncation_energy(n: int, s: int, nu):
 @lru_cache(maxsize=None)
 def _integer_steps(n: int, s: int) -> tuple[tuple[int, int, int, bool], ...]:
     # (A_j, B_j, D_j, j even) for j = -1..n: D_j d_{j+2} = A_j m_j d_{j+1} + B_j d_j
-    # is the recurrence with W pinned by order-n truncation, times D_j
-    return tuple((2 * j + 2 * s + 3, -4 * (n - j), 2 * (j + 2) * (j + 2 * s + 2), j % 2 == 0)
-                 for j in range(-1, n + 1))
+    # is the recurrence with W pinned by order-n truncation, times D_j; a tuple of
+    # a list comprehension is built faster than one of a generator
+    return tuple([(2 * j + 2 * s + 3, -4 * (n - j), 2 * (j + 2) * (j + 2 * s + 2), j % 2 == 0)
+                  for j in range(-1, n + 1)])
 
 
 @lru_cache(maxsize=None)
