@@ -299,12 +299,12 @@ def _series_at_root(n: int, s: int, p: int,
         nums.append(A * mp * nums[-1] + B * mq * ratio * nums[-2])
         ratio = D * mq
         ratios.append(ratio)
-    D, E = [nums[-1]], 1
+    scaled, E = [nums[-1]], 1                    # D_j from j = n+2 down; E / E_j
     for num, ratio in zip(nums[-2:0:-1], reversed(ratios)):
         E *= ratio
-        D.append(num * E)
-    D.reverse()
-    return tuple(D), E, tuple(Dj / E for Dj in D)
+        scaled.append(num * E)
+    scaled.reverse()
+    return tuple(scaled), E, tuple(Dj / E for Dj in scaled)
 
 
 def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
