@@ -39,9 +39,7 @@ __all__ = [
     "fit_cubic",
     "compare_fit_to_published",
     "map_W_to_E",
-    "map_E_to_W",
     "map_physical_to_nu",
-    "map_nu_to_a",
     "continuity_demonstration",
 ]
 
@@ -203,9 +201,9 @@ def fit_cubic(points: Sequence[tuple[float, float]], fixed_intercept: float,
     nu = np.asarray([p[0] for p in points], dtype=float)
     W = np.asarray([p[1] for p in points], dtype=float)
     X = np.column_stack([nu, nu ** 2, nu ** 3])
-    if np.linalg.matrix_rank(X) < 3:
+    b, _, rank, _ = np.linalg.lstsq(X, W - fixed_intercept, rcond=None)
+    if rank < 3:
         raise DegenerateFit("singular design: nu values do not span a cubic")
-    b, *_ = np.linalg.lstsq(X, W - fixed_intercept, rcond=None)
     resid = W - fixed_intercept - X @ b
     return FitModel(
         j=branch, l=l, intercept=float(fixed_intercept),
@@ -231,19 +229,9 @@ def map_W_to_E(W: float, p: PhysicalParams) -> float:
     return p.alpha * W / 4 - p.theta * p.l / 2 - p.l * p.varpi
 
 
-def map_E_to_W(E: float, p: PhysicalParams) -> float:
-    """Inverse of :func:`map_W_to_E`."""
-    return 4 * (E + p.theta * p.l / 2 + p.l * p.varpi) / p.alpha
-
-
 def map_physical_to_nu(p: PhysicalParams) -> float:
     """Reduced coupling nu = 2^(5/2) a / sqrt(m alpha^3); sign follows a."""
     return 2 ** 2.5 * p.a / math.sqrt(p.m * p.alpha ** 3)
-
-
-def map_nu_to_a(nu: float, p: PhysicalParams) -> float:
-    """Linear-potential strength reproducing the given nu at p's (m, theta, varpi)."""
-    return nu * math.sqrt(p.m * p.alpha ** 3) / 2 ** 2.5
 
 
 def continuity_demonstration(l: int, j: int, nu_interval: tuple[float, float],

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import match_truncation_to_curves, truncation_point_set
-from .frobenius import ReducedProblem, ode_residual, polynomial_solution, root_isolation
-from .spectrum import hft_check
+from .frobenius import ode_residual, polynomial_solution, root_isolation
+from .spectrum import ReducedProblem, hft_check
 
 RESIDUAL_RADII = tuple(float(r) for r in np.linspace(0.1, 10.0, 100))
 

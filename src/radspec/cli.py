@@ -38,12 +38,11 @@ from .analysis import (
 )
 from .frobenius import (
     IndexOutOfRange,
-    ReducedProblem,
     RootRefinementFailure,
     root_isolation,
     truncation_energy,
 )
-from .spectrum import SolverError, curve_scan, eigenvalues
+from .spectrum import ReducedProblem, SolverError, curve_scan, eigenvalues
 
 _MODULE_ERRORS = (
     DegenerateFit, InvalidAlpha, InvalidMass, SolverError,

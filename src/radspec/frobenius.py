@@ -44,8 +44,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "ReducedProblem",
-    "TruncationPolynomial",
     "TruncationSolution",
     "RootRefinementFailure",
     "IndexOutOfRange",
@@ -82,41 +80,14 @@ class IndexOutOfRange(IndexError):
 
 
 @dataclass(frozen=True)
-class ReducedProblem:
-    """Dimensionless problem instance: angular momentum l and coupling nu."""
-
-    l: int
-    nu: float
-
-    @property
-    def s(self) -> int:
-        return abs(self.l)
-
-
-@dataclass(frozen=True)
-class TruncationPolynomial:
-    """c_{n+1} as an exact polynomial in nu, normalized to c_0 = 1.
-
-    ``coeffs`` holds ascending powers; the degree is exactly n+1 and the
-    polynomial has parity (-1)^(n+1), so alternate entries are zero.
-    """
-
-    n: int
-    l: int
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
 class TruncationSolution:
     """One isolated polynomial solution of the radial equation.
 
     Index i is 1-based over roots in decreasing nu order. ``coeffs`` are
     c_0..c_n with c_0 = 1; the recurrence-extended c_{n+1}, c_{n+2} vanish
-    at nu_root by construction.
+    at nu_root by construction. ``mu`` is the exact nu^2 at the refined
+    root, a dyadic rational; nu_root, W and coeffs are rounded from it, and
+    :func:`ode_residual` reads the exact values from it.
     """
 
     n: int
@@ -125,11 +96,7 @@ class TruncationSolution:
     nu_root: float
     W: float
     coeffs: tuple[float, ...]
-    # exact nu^2 at the refined root, a dyadic rational; ode_residual takes
-    # the exact coefficients, W and a 2^-160 nu from it, not from the float
-    # fields, whose rounding alone costs ~1e-4 of relative residual at the
-    # most negative roots. None for hand-built records.
-    _mu: Fraction | None = field(default=None, repr=False, compare=False)
+    mu: Fraction = field(repr=False)
 
     @property
     def s(self) -> int:
@@ -170,20 +137,21 @@ def _reduced_polynomial(n: int, s: int) -> tuple[tuple[int, ...], int]:
     return tuple(cur), E
 
 
-def cnp1_polynomial(n: int, l: int) -> TruncationPolynomial:
-    """Exact truncation polynomial c_{n+1}(nu) for order n and momentum l.
+def cnp1_polynomial(n: int, l: int) -> tuple[Fraction, ...]:
+    """Exact truncation polynomial c_{n+1}(nu), normalized to c_0 = 1, for order n
+    and momentum l, as ascending coefficients of nu.
 
     Built by running the recurrence symbolically in mu = nu^2 with the
     eigenvalue eliminated through W = 2(n+s+1) - nu^2/4, so each B_j
     collapses to the nu-independent rational 2(j-n) / ((j+2)(j+2(s+1))),
     then spread back over the powers of nu. The result has degree exactly
-    n+1, parity (-1)^(n+1), and a positive leading coefficient. Depends on
-    l only through s = |l|.
+    n+1, parity (-1)^(n+1) (alternate entries are zero), and a positive
+    leading coefficient. Depends on l only through s = |l|.
     """
     Q, E = _reduced_polynomial(n, abs(l))
     coeffs = [Fraction(0)] * (n + 2)
     coeffs[(n + 1) % 2::2] = (Fraction(c, E) for c in Q)
-    return TruncationPolynomial(n=n, l=l, coeffs=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _jacobi_seeds(n: int, s: int, count: int) -> list[float]:
@@ -333,8 +301,7 @@ def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
         raise RootRefinementFailure(f"degenerate solution: c_n = 0 at n={n}, i={i}, l={l}")
     W = (8 * (n + s + 1) * q - p) / (4 * q)        # 2(n+s+1) - mu/4, rounded once
     return TruncationSolution(
-        n=n, i=i, l=l, nu_root=rec.nu, W=W, coeffs=tuple(values[: n + 1]),
-        _mu=rec.mu)
+        n=n, i=i, l=l, nu_root=rec.nu, W=W, coeffs=tuple(values[: n + 1]), mu=rec.mu)
 
 
 def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> float:
@@ -345,36 +312,27 @@ def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> f
     G(phi^2 - 1), (G' + G phi)/r, -l^2 G/r^2, -r^2 G, -nu r G and W G, with
     phi = -r - nu/2, are formed divided by E, summed, and multiplied by E
     once. Each term is an integer over one common denominator, so the sum is
-    exact and rounded once. r and a hand-built record's float fields are
-    dyadic rationals; a solver record gives W and the c_j exactly at its root
-    mu, with nu = +/-isqrt(mu 2^320) / 2^160, so the closed-form denominator
-    is 2^160 times that of `_series_at_root` (its float coefficients alone
-    would cost ~1e-4 of relative residual at the most negative high-order
-    roots). With ``relative`` the residual is scaled by the largest term.
+    exact and rounded once. r is a dyadic rational, and the record's root
+    ``mu`` must be one too (ValueError otherwise): W and the c_j are taken
+    exactly at mu, with nu = +/-isqrt(mu 2^320) / 2^160 signed as nu_root, so
+    the closed-form denominator is 2^160 times that of `_series_at_root` (the
+    float coefficients alone would cost ~1e-4 of relative residual at the
+    most negative high-order roots). With ``relative`` the residual is scaled
+    by the largest term.
     """
     if not 0 < r < math.inf:
         raise ValueError(f"r={r} must be finite and > 0")
-    s, n = sol.s, sol.n
-    if sol._mu is None:
-        fields = {"nu_root": sol.nu_root, "W": sol.W,
-                  **{f"coeffs[{j}]": c for j, c in enumerate(sol.coeffs)}}
-        for name, value in fields.items():
-            if not math.isfinite(value):
-                raise ValueError(f"hand-built solution has non-finite {name}={value}")
-        (h, nu_den), (Wn, Wd) = sol.nu_root.as_integer_ratio(), sol.W.as_integer_ratio()
-        ratios = [c.as_integer_ratio() for c in sol.coeffs]
-        den = max(d for _, d in ratios)            # powers of two: their lcm
-        N = [num << den.bit_length() - d.bit_length() for num, d in ratios]
-    else:
-        p, q = sol._mu.numerator, sol._mu.denominator
-        h, nu_den = math.isqrt((p << 320) // q) * (1 if sol.nu_root >= 0 else -1), 1 << 160
-        Wn, Wd = 8 * (n + s + 1) * q - p, 4 * q        # W = 2(n+s+1) - mu/4
-        D, E, _ = _series_at_root(n, s, p, q)
-        den = E << 160              # c_j = D_j / E, or D_j h / (E 2^160) for odd j
-        N = [Dj * h if j % 2 else Dj << 160 for j, Dj in enumerate(D[: n + 1])]
+    s, n, p, q = sol.s, sol.n, sol.mu.numerator, sol.mu.denominator
+    if q & (q - 1):
+        raise ValueError(f"mu={sol.mu} must be a dyadic rational")
+    h = math.isqrt((p << 320) // q) * (1 if sol.nu_root >= 0 else -1)
+    Wn = 8 * (n + s + 1) * q - p                 # W = Wn / 4q = 2(n+s+1) - mu/4
+    D, E, _ = _series_at_root(n, s, p, q)
+    den = E << 160              # c_j = D_j / E, or D_j h / (E 2^160) for odd j
+    N = [Dj * h if j % 2 else Dj << 160 for j, Dj in enumerate(D[: n + 1])]
     X, x_den = r.as_integer_ratio()
     # r = X/2^e, nu = h/2^b, W = Wn/2^w, phi = Phi/2^(e+b+1)
-    e, b, w = x_den.bit_length() - 1, nu_den.bit_length() - 1, Wd.bit_length() - 1
+    e, b, w = x_den.bit_length() - 1, 160, q.bit_length() + 1
     A0 = A1 = A2 = 0                    # den 2^(e n) (P, P', P'') by homogeneous Horner
     for k, num in enumerate(reversed(N)):
         A2 = A2 * X + (A1 << e + 1)

@@ -41,10 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .frobenius import ReducedProblem
-
 __all__ = [
-    "EigenState", "SpectralCurve", "HftCheck", "SolverError", "NotConverged",
+    "ReducedProblem", "EigenState", "SpectralCurve", "HftCheck", "SolverError", "NotConverged",
     "DomainTooSmall", "MonotonicityViolation", "solve_spectrum", "expectation_r", "hft_check",
     "curve_scan", "eigenvalues",
 ]
@@ -188,6 +186,18 @@ def _galerkin(s: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     nu = 0, J, and the largest |<F_k, F_l> - delta_kl| on the quadrature."""
     _cache([(s, c)])
     return _bases[s, c]
+
+
+@dataclass(frozen=True)
+class ReducedProblem:
+    """Dimensionless problem instance: angular momentum l and coupling nu."""
+
+    l: int
+    nu: float
+
+    @property
+    def s(self) -> int:
+        return abs(self.l)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,8 @@ from radspec.analysis import (
     fit_cubic,
 )
 from radspec.cli import main
-from radspec.frobenius import ReducedProblem, polynomial_solution
-from radspec.spectrum import solve_spectrum
+from radspec.frobenius import polynomial_solution
+from radspec.spectrum import ReducedProblem, solve_spectrum
 
 
 def _report(num, name, ok, detail):

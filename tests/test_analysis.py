@@ -14,8 +14,6 @@ from radspec.analysis import (
     compare_fit_to_published,
     continuity_demonstration,
     fit_cubic,
-    map_E_to_W,
-    map_nu_to_a,
     map_physical_to_nu,
     map_W_to_E,
     match_truncation_to_curves,
@@ -139,6 +137,14 @@ def test_fit_degenerate_collinear_abscissae():
         fit_cubic(pts, 2.0, branch=0, l=0)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-9])
+def test_fit_degenerate_vanishing_abscissae(scale):
+    # zero nu span nothing; distinct nu near 1e-9 leave nu^3 below round-off: rank 2
+    pts = [(scale * k, 2.0 + k) for k in range(1, 6)]
+    with pytest.raises(DegenerateFit):
+        fit_cubic(pts, 2.0, branch=0, l=0)
+
+
 def test_fit_explains_own_points_better_than_foreign_cubic():
     model = fit_cubic(branch_fit_points(0, 0), 2.0, branch=0, l=0)
     assert model.rms_residual < compare_fit_to_published(model)
@@ -180,12 +186,6 @@ def test_energy_map_l_terms_cancel_at_zero_l():
         assert map_W_to_E(W, p) == pytest.approx(p.alpha * W / 4, rel=1e-15)
 
 
-def test_energy_map_round_trip():
-    p = PhysicalParams(m=2.0, a=-0.3, theta=1.5, varpi=0.2, l=3)
-    for W in (2.0, 9.75, -1.0):
-        assert map_E_to_W(map_W_to_E(W, p), p) == pytest.approx(W, rel=1e-12)
-
-
 def test_invalid_alpha_at_degenerate_boundary():
     with pytest.raises(InvalidAlpha):
         PhysicalParams(m=1.0, a=0.0, theta=1.0, varpi=-0.25, l=0)
@@ -201,12 +201,6 @@ def test_coupling_map_examples():
     assert map_physical_to_nu(PhysicalParams(m=1.0, a=0.0, **base)) == 0.0
     assert map_physical_to_nu(PhysicalParams(m=1.0, a=1.0, **base)) == pytest.approx(2.0, rel=1e-15)
     assert map_physical_to_nu(PhysicalParams(m=1.0, a=-1.0, **base)) == pytest.approx(-2.0, rel=1e-15)
-
-
-def test_coupling_map_round_trip():
-    p = PhysicalParams(m=1.7, a=0.8, theta=2.3, varpi=0.1, l=1)
-    nu = map_physical_to_nu(p)
-    assert map_nu_to_a(nu, p) == pytest.approx(0.8, rel=1e-12)
 
 
 # --- continuity --------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -9,7 +10,6 @@ import pytest
 from radspec import frobenius
 from radspec.frobenius import (
     IndexOutOfRange,
-    ReducedProblem,
     RootRefinementFailure,
     cnp1_polynomial,
     ode_residual,
@@ -17,7 +17,7 @@ from radspec.frobenius import (
     root_isolation,
     truncation_energy,
 )
-from radspec.spectrum import solve_spectrum
+from radspec.spectrum import ReducedProblem, solve_spectrum
 
 ROOT_83 = math.sqrt(8.0 / 3.0)
 
@@ -125,25 +125,24 @@ def test_truncation_energy_values():
 # --- truncation polynomial ---------------------------------------------------
 
 def test_cnp1_order_zero():
-    poly = cnp1_polynomial(0, 0)
-    assert poly.coeffs == (Fraction(0), Fraction(1, 2))
+    assert cnp1_polynomial(0, 0) == (Fraction(0), Fraction(1, 2))
 
 
 def test_cnp1_order_one():
     # proportional to 3 nu^2 - 8: exact coefficients (-1/2, 0, 3/16)
     poly = cnp1_polynomial(1, 0)
-    assert poly.coeffs == (Fraction(-1, 2), Fraction(0), Fraction(3, 16))
-    assert _horner(poly.coeffs, Fraction(2)) == Fraction(1, 4)
+    assert poly == (Fraction(-1, 2), Fraction(0), Fraction(3, 16))
+    assert _horner(poly, Fraction(2)) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_cnp1_degree_parity_leading_sign(l):
     for n in range(0, 23):
         poly = cnp1_polynomial(n, l)
-        assert poly.degree == n + 1
-        assert poly.coeffs[-1] > 0
+        assert len(poly) == n + 2
+        assert poly[-1] > 0
         parity = (n + 1) % 2
-        assert all(c == 0 for k, c in enumerate(poly.coeffs) if k % 2 != parity)
+        assert all(c == 0 for k, c in enumerate(poly) if k % 2 != parity)
 
 
 @pytest.mark.parametrize("s", [0, 1, 2, 5, 10])
@@ -153,7 +152,7 @@ def test_mu_recurrence_matches_public_recurrence(s):
     for nu in (Fraction(1, 3), Fraction(7, 2), Fraction(-5, 4)):
         for n in range(0, 41):
             c = _series_coeffs(n + 2, s, nu, truncation_energy(n, s, nu))
-            assert _horner(cnp1_polynomial(n, s).coeffs, nu) == c[n + 1]
+            assert _horner(cnp1_polynomial(n, s), nu) == c[n + 1]
             mu = nu * nu
             D, E, _ = frobenius._series_at_root(n, s, mu.numerator, mu.denominator)
             assert [Fraction(Dj, E) * nu ** (j % 2) for j, Dj in enumerate(D)] == c
@@ -181,7 +180,7 @@ def test_solver_records_round_the_exact_series_once():
         for n in range(23):
             for i in range(1, n + 2):
                 sol = polynomial_solution(n, i, l)
-                mu = sol._mu
+                mu = sol.mu
                 assert sol.W == float(Fraction(2 * (n + s + 1)) - mu / 4), (n, i, l)
                 if (n, s, mu) not in series:
                     series[n, s, mu] = _mu_series(n, s, mu)
@@ -240,8 +239,8 @@ def test_roots_satisfy_polynomial():
         assert all(a > b for a, b in zip(roots, roots[1:]))
         for nu in roots:
             # scale by the largest monomial magnitude at this nu
-            terms = max(abs(float(c) * nu ** k) for k, c in enumerate(poly.coeffs))
-            assert abs(_horner(poly.coeffs, nu)) <= 1e-10 * max(terms, 1.0)
+            terms = max(abs(float(c) * nu ** k) for k, c in enumerate(poly))
+            assert abs(_horner(poly, nu)) <= 1e-10 * max(terms, 1.0)
 
 
 def _horner(coeffs, x):
@@ -257,7 +256,7 @@ def test_roots_within_relative_tolerance():
     misses = []
     for s in (0, 1, 2):
         for n in range(0, 41):
-            q = cnp1_polynomial(n, s).coeffs[(n + 1) % 2::2]     # in mu
+            q = cnp1_polynomial(n, s)[(n + 1) % 2::2]     # in mu
             for rec in frobenius._root_data(n, s):
                 if rec.nu > 0:
                     lo, hi = rec.mu * (1 - half), rec.mu * (1 + half)
@@ -286,7 +285,7 @@ def _bisection_root_data(n, s):
     Same polynomial (from the public cnp1_polynomial), seeds, grid and cuts;
     each bracket is halved until it is one grid cell wide.
     """
-    q = cnp1_polynomial(n, s).coeffs[(n + 1) % 2::2]
+    q = cnp1_polynomial(n, s)[(n + 1) % 2::2]
     if q[0] == 0:
         raise RootRefinementFailure(f"mu=0 root in reduced polynomial (n={n}, s={s})")
     d = len(q) - 1
@@ -512,43 +511,55 @@ def test_residual_precision_at_extreme_roots(n, i, l):
     assert worst <= 1e-13
 
 
+def _detuned(sol, k):
+    """sol moved to the dyadic root mu + 2^-k, where c_{n+1} no longer vanishes;
+    nu_root becomes +/-sqrt(mu + 2^-k) with sol's sign."""
+    mu = sol.mu + Fraction(1, 2 ** k)
+    return replace(sol, mu=mu, nu_root=math.copysign(math.sqrt(mu), sol.nu_root))
+
+
 def test_residual_detects_detuned_coupling():
-    """Shifting nu off the root by 0.1 breaks the equation visibly."""
+    """Shifting nu^2 off the root by 1/4 (nu by ~0.08) breaks the equation visibly."""
+    assert abs(ode_residual(_detuned(polynomial_solution(1, 1, 0), 2), 1.0)) > 1e-3
+
+
+@pytest.mark.parametrize("l", [0, 1, -2])
+def test_residual_is_the_closure_defect_off_the_root(l):
+    """Off its root, a record's residual is the one surviving term of the recurrence:
+    -(n+1)(n+2s+1) c_{n+1} r^(n+s-1) exp(-r^2/2 - nu r/2), c_{n+1} = d_{n+1} nu^((n+1) mod 2)."""
+    for n in range(23):
+        for i in range(1, n + 2):
+            for k in (20, 40):
+                sol = _detuned(polynomial_solution(n, i, l), k)
+                s, nu, mu = sol.s, sol.nu_root, sol.mu
+                d = frobenius._series_at_root(n, s, mu.numerator, mu.denominator)[2]
+                cnp1 = d[n + 1] * nu ** ((n + 1) % 2)
+                for r in (0.5, 1.0, 3.0):
+                    want = (-(n + 1) * (n + 2 * s + 1) * cnp1 * r ** (n + s - 1)
+                            * math.exp(-r * r / 2 - nu * r / 2))
+                    got = ode_residual(sol, r)
+                    assert abs(got - want) <= 1e-14 * abs(want), (n, i, k, r)
+
+
+def test_residual_rejects_non_dyadic_root():
     sol = polynomial_solution(1, 1, 0)
-    detuned = type(sol)(
-        n=sol.n, i=sol.i, l=sol.l,
-        nu_root=sol.nu_root + 0.1,
-        W=truncation_energy(1, 0, sol.nu_root + 0.1),
-        coeffs=sol.coeffs,
-    )
-    assert abs(ode_residual(detuned, 1.0)) > 1e-3
-
-
-def _hand_built(sol, **fields):
-    """The float fields of a solver record, without its exact root."""
-    base = dict(n=sol.n, i=sol.i, l=sol.l, nu_root=sol.nu_root, W=sol.W, coeffs=sol.coeffs)
-    return type(sol)(**{**base, **fields})
+    with pytest.raises(ValueError, match="dyadic"):
+        ode_residual(replace(sol, mu=sol.mu + Fraction(1, 10)), 1.0)
 
 
 def _fraction_residual(sol, r, relative=False):
     """Reference for ode_residual: its six terms in Fraction arithmetic.
 
-    A solver record's exact inputs are rebuilt from its root mu (nu to
-    2^-160); a hand-built record's float fields enter as the Fractions they
-    equal. The sum and each term are rounded once, by float(Fraction).
+    The exact inputs are rebuilt from the record's root mu, with nu to 2^-160.
+    The sum and each term are rounded once, by float(Fraction).
     """
-    s, n = sol.s, sol.n
-    if sol._mu is None:
-        nu, W = Fraction(sol.nu_root), Fraction(sol.W)
-        coeffs = [Fraction(c) for c in sol.coeffs]
-    else:
-        mu = sol._mu
-        root = Fraction(math.isqrt(mu.numerator * 2 ** 320 // mu.denominator), 2 ** 160)
-        nu = root if sol.nu_root >= 0 else -root
-        W = 2 * (n + s + 1) - mu / 4
-        D, E, _ = frobenius._series_at_root(n, s, mu.numerator, mu.denominator)
-        d = [Fraction(Dj, E) for Dj in D[: n + 1]]
-        coeffs = [dj * nu if j % 2 else dj for j, dj in enumerate(d)]
+    s, n, mu = sol.s, sol.n, sol.mu
+    root = Fraction(math.isqrt(mu.numerator * 2 ** 320 // mu.denominator), 2 ** 160)
+    nu = root if sol.nu_root >= 0 else -root
+    W = 2 * (n + s + 1) - mu / 4
+    D, E, _ = frobenius._series_at_root(n, s, mu.numerator, mu.denominator)
+    d = [Fraction(Dj, E) for Dj in D[: n + 1]]
+    coeffs = [dj * nu if j % 2 else dj for j, dj in enumerate(d)]
     x = Fraction(r)
     P = Pp = Ppp = Fraction(0)
     for c in reversed(coeffs):
@@ -576,32 +587,21 @@ ORACLE_RADII = (0.05, 0.1, 0.3, 1.0, 2.5, 6.0, 7.525, 10.0, 2.0 ** -30)
                                    (0, 1, 0), (6, 3, 4), (22, 1, 0), (22, 23, 0),
                                    (16, 17, -2), (15, 8, 1), (21, 22, 2)])
 def test_residual_matches_fraction_oracle(n, i, l):
-    """Bit for bit, relative and absolute, on the solver record and on a
-    hand-built record holding the same float fields."""
+    """Bit for bit, relative and absolute, on the solver record."""
     sol = polynomial_solution(n, i, l)
-    for rec in (sol, _hand_built(sol)):
-        for r in ORACLE_RADII:
-            for relative in (False, True):
-                got = ode_residual(rec, r, relative=relative)
-                assert repr(got) == repr(_fraction_residual(rec, r, relative)), (rec, r)
+    for r in ORACLE_RADII:
+        for relative in (False, True):
+            got = ode_residual(sol, r, relative=relative)
+            assert repr(got) == repr(_fraction_residual(sol, r, relative)), r
 
 
 def test_residual_of_detuned_record_matches_fraction_oracle():
-    sol = polynomial_solution(1, 1, 0)
-    detuned = _hand_built(sol, nu_root=sol.nu_root + 0.1,
-                          W=truncation_energy(1, 0, sol.nu_root + 0.1))
-    for r in ORACLE_RADII:
-        for relative in (False, True):
-            got = ode_residual(detuned, r, relative=relative)
-            assert repr(got) == repr(_fraction_residual(detuned, r, relative)), r
-
-
-@pytest.mark.parametrize("field,value", [("nu_root", math.nan), ("W", math.inf),
-                                         ("coeffs", (1.0, -math.inf))])
-def test_residual_rejects_non_finite_hand_built_field(field, value):
-    sol = _hand_built(polynomial_solution(1, 1, 0), **{field: value})
-    with pytest.raises(ValueError, match=field):
-        ode_residual(sol, 1.0)
+    for k in (2, 40):
+        detuned = _detuned(polynomial_solution(1, 1, 0), k)
+        for r in ORACLE_RADII:
+            for relative in (False, True):
+                got = ode_residual(detuned, r, relative=relative)
+                assert repr(got) == repr(_fraction_residual(detuned, r, relative)), (k, r)
 
 
 def test_residual_rejects_nonpositive_r():

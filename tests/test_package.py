@@ -32,6 +32,16 @@ def test_no_module_imports_a_private_spectrum_name():
     assert private == []
 
 
+def test_routes_share_no_module():
+    # the exact and the numeric route are independent: neither imports the other
+    for route, other in (("frobenius", "spectrum"), ("spectrum", "frobenius")):
+        for node in ast.walk(ast.parse((SRC / "radspec" / f"{route}.py").read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                dotted = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert other not in {part for name in dotted for part in name.split(".")}, \
+                    (route, ast.unparse(node))
+
+
 def test_cli_import_does_not_load_scipy():
     # the runtime dependencies are numpy and click only; mpmath and sympy may be
     # installed alongside, but the library must not import them; the Gauss-Legendre

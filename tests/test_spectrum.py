@@ -9,11 +9,12 @@ from click.testing import CliRunner
 from radspec import spectrum
 from radspec.analysis import match_truncation_to_curves, truncation_point_set
 from radspec.cli import main
-from radspec.frobenius import ReducedProblem, polynomial_solution
+from radspec.frobenius import polynomial_solution
 from radspec.spectrum import (
     DomainTooSmall,
     MonotonicityViolation,
     NotConverged,
+    ReducedProblem,
     SolverError,
     curve_scan,
     eigenvalues,
