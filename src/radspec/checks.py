@@ -12,13 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .analysis import match_truncation_to_curves, truncation_point_set
 from .frobenius import ode_residual, polynomial_solution, root_isolation
 from .spectrum import ReducedProblem, hft_check
 
-RESIDUAL_RADII = tuple(float(r) for r in np.linspace(0.1, 10.0, 100))
+RESIDUAL_RADII = tuple([0.1 + k * (9.9 / 99) for k in range(99)] + [10.0])
 
 
 @dataclass(frozen=True)

@@ -304,59 +304,86 @@ def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
         n=n, i=i, l=l, nu_root=rec.nu, W=W, coeffs=tuple(values[: n + 1]), mu=rec.mu)
 
 
-def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> float:
-    """Residual of the radial equation at r, from analytic derivatives.
+@lru_cache(maxsize=None)
+def _residual_setup(n: int, s: int, p: int, q: int, nu_root: float
+                    ) -> tuple[int, int, int, int, int, tuple[int, ...], tuple[int, ...]]:
+    """(h, Wn, w, T, den, N, rho) at mu = p/q: nu = h / 2^160, W = Wn / 2^w, c_j =
+    N_j / den, and rho_k / (den 2^T) is the r^k coefficient of L[P]; N and rho
+    descend, as Horner reads them. ValueError unless mu is dyadic and
+    |nu_root| == sqrt(float(mu)), so a record cannot mix two couplings."""
+    if q & (q - 1):
+        raise ValueError(f"mu={p}/{q} must be a dyadic rational")
+    if abs(nu_root) != math.sqrt(p / q):
+        raise ValueError(f"nu_root={nu_root!r} is not +/-sqrt(mu) for mu={p}/{q}")
+    h = math.isqrt((p << 320) // q) * (1 if nu_root >= 0 else -1)
+    w = q.bit_length() + 1                       # 4q = 2^w
+    D, E, _ = _series_at_root(n, s, p, q)
+    # c_j = D_j / E, or D_j h / (E 2^160) for odd j, less the power of two that
+    # every numerator shares; c_0 = 1, so N_0 is the denominator
+    N = [Dj * h if j % 2 else Dj << 160 for j, Dj in enumerate(D[: n + 1])]
+    z = min((Nj & -Nj).bit_length() for Nj in N if Nj) - 1
+    N = [Nj >> z for Nj in N]
+    # L[r^j] = j(j+2s) r^(j-1) - nu(j+s+1/2) r^j + (E' - 2j) r^(j+1), with
+    # E' = W - 2(s+1) + nu^2/4 = 2n - p/2^w + h^2/2^322 = Ep / 2^T
+    T = max(w, 322)
+    Ep = ((8 * n * q - p) << T - w) + (h * h << T - 322)
+    c = [0, *N, 0, 0]                            # c_{-1} = c_{n+1} = c_{n+2} = 0
+    rho = [((k + 1) * (k + 2 * s + 1) * c[k + 2] << T)
+           - ((2 * k + 2 * s + 1) * h * c[k + 1] << T - 161)
+           + (Ep - (2 * k - 2 << T)) * c[k] for k in range(n + 2)]
+    return h, 8 * (n + s + 1) * q - p, w, T, N[0], tuple(N[::-1]), tuple(rho[::-1])
 
-    Writes F = G(r) E(r) with G = r^s P(r) and E the exponential factor and
-    differentiates in closed form; the six equation terms G'' + 2G'phi +
-    G(phi^2 - 1), (G' + G phi)/r, -l^2 G/r^2, -r^2 G, -nu r G and W G, with
-    phi = -r - nu/2, are formed divided by E, summed, and multiplied by E
-    once. Each term is an integer over one common denominator, so the sum is
-    exact and rounded once. r is a dyadic rational, and the record's root
-    ``mu`` must be one too (ValueError otherwise): W and the c_j are taken
-    exactly at mu, with nu = +/-isqrt(mu 2^320) / 2^160 signed as nu_root, so
-    the closed-form denominator is 2^160 times that of `_series_at_root` (the
-    float coefficients alone would cost ~1e-4 of relative residual at the
-    most negative high-order roots). With ``relative`` the residual is scaled
-    by the largest term.
+
+def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> float:
+    """Residual of the radial equation at r, exact and rounded once.
+
+    With F = r^s e^phi P, phi = -r^2/2 - nu r/2, the six equation terms over
+    e^phi, G'' + 2G'phi' + G(phi'^2 - 1), (G' + G phi')/r, -l^2 G/r^2, -r^2 G,
+    -nu r G and W G with G = r^s P, sum to r^(s-1) L[P](r), where L[r^j] =
+    j(j+2s) r^(j-1) - nu(j+s+1/2) r^j + (E' - 2j) r^(j+1), E' = W - 2(s+1) +
+    nu^2/4. One Horner pass over the coefficients of L[P], built once per record
+    by `_residual_setup`, gives the sum. With ``relative`` it is scaled by the
+    largest term: P and P' give the last five, and the first is the sum minus
+    those. Every value is an integer over a closed-form denominator, so the sum
+    and the scale are rounded once each.
+
+    r is dyadic, and so must be the record's root ``mu``: W and the c_j are
+    exact at mu, and nu = +/-isqrt(mu 2^320) / 2^160 is signed as nu_root
+    (the float coefficients alone would cost ~1e-4 of relative residual at the
+    most negative high-order roots). ValueError unless mu is dyadic and
+    |nu_root| == sqrt(float(mu)).
     """
     if not 0 < r < math.inf:
         raise ValueError(f"r={r} must be finite and > 0")
-    s, n, p, q = sol.s, sol.n, sol.mu.numerator, sol.mu.denominator
-    if q & (q - 1):
-        raise ValueError(f"mu={sol.mu} must be a dyadic rational")
-    h = math.isqrt((p << 320) // q) * (1 if sol.nu_root >= 0 else -1)
-    Wn = 8 * (n + s + 1) * q - p                 # W = Wn / 4q = 2(n+s+1) - mu/4
-    D, E, _ = _series_at_root(n, s, p, q)
-    den = E << 160              # c_j = D_j / E, or D_j h / (E 2^160) for odd j
-    N = [Dj * h if j % 2 else Dj << 160 for j, Dj in enumerate(D[: n + 1])]
+    s, n = sol.s, sol.n
+    h, Wn, w, T, den, N, rho = _residual_setup(n, s, sol.mu.numerator, sol.mu.denominator,
+                                               sol.nu_root)
     X, x_den = r.as_integer_ratio()
-    # r = X/2^e, nu = h/2^b, W = Wn/2^w, phi = Phi/2^(e+b+1)
-    e, b, w = x_den.bit_length() - 1, 160, q.bit_length() + 1
-    A0 = A1 = A2 = 0                    # den 2^(e n) (P, P', P'') by homogeneous Horner
-    for k, num in enumerate(reversed(N)):
-        A2 = A2 * X + (A1 << e + 1)
+    e = x_den.bit_length() - 1                      # r = X / 2^e
+    R = 0                                           # den 2^(T + e(n+1)) L[P](r)
+    for k, rk in enumerate(rho):
+        R = R * X + (rk << e * k)
+    # the sum r^(s-1) L[P](r)
+    resid = R * X ** max(s - 1, 0) / (den * X ** max(1 - s, 0) << T + e * (n + s))
+    if not relative:
+        return resid * math.exp(-r * r / 2 - sol.nu_root * r / 2)
+    A0 = A1 = 0                                     # den 2^(e n) (P, P')
+    for k, num in enumerate(N):
         A1 = A1 * X + (A0 << e)
         A0 = A0 * X + (num << e * k)
-    g = X ** max(s - 2, 0)
-    A0, A1, A2 = A0 * g, A1 * g, A2 * g
-    # each term is r^(s-2) times a polynomial in r, phi, nu, W and P, P', P'';
-    # those polynomials, scaled by 2^S, are integer combinations of A0, A1, A2
-    S = 2 + 4 * e + 2 * b + w
-    Phi = -((X << b + 1) + (h << e))
-    X2, PhiX = X * X, Phi * X
-    nums = (((s * (s - 1) << S) + (s * PhiX << S - 2 * e - b) + (PhiX * PhiX << w)
-             - (X2 << S - 2 * e)) * A0
-            + ((2 * s * X << S - e) + (PhiX * X << S - 3 * e - b)) * A1
-            + (X2 << S - 2 * e) * A2,
-            ((s << S) + (PhiX << S - 2 * e - b - 1)) * A0 + (X << S - e) * A1,
-            -(sol.l ** 2 << S) * A0,
-            -(X2 * X2 << S - 4 * e) * A0,
-            -(h * X2 * X << S - b - 3 * e) * A0,
-            (Wn * X2 << S - w - 2 * e) * A0)
-    common = den * X ** max(2 - s, 0) << e * (len(N) - 1 + s - 2) + S
-    resid = sum(nums) / common
-    if relative:
-        scale = max(map(abs, nums)) / common
-        return resid / scale if scale else 0.0
-    return resid * math.exp(-r * r / 2 - sol.nu_root * r / 2)
+    # the terms over r^(s-2) den 2^(e n + M), with nu = h/2^160, W = Wn/2^w and
+    # phi' = -r - nu/2; each small factor multiplies first, then the shift
+    M = max(4 * e, 3 * e + 160, 2 * e + T)
+    XA0 = X * A0
+    X2A0 = X * XA0
+    # t1..t6 in the docstring's order; u = -t for the three the equation subtracts
+    sA0 = s * A0 << M
+    t2 = sA0 + (X * A1 << M - e) - (X2A0 << M - 2 * e) - (h * XA0 << M - e - 161)
+    u3 = s * sA0
+    u4 = X * X * X2A0 << M - 4 * e
+    u5 = h * X * X2A0 << M - 3 * e - 160
+    t6 = Wn * X2A0 << M - 2 * e - w
+    t1 = (X * R << M - T - 2 * e) - t2 + u3 + u4 + u5 - t6
+    scale = (max(abs(t1), abs(t2), abs(u3), abs(u4), abs(u5), abs(t6)) * X ** max(s - 2, 0)
+             / (den * X ** max(2 - s, 0) << e * (n + s - 2) + M))
+    return resid / scale if scale else 0.0

@@ -9,6 +9,7 @@ and every structural breach must measure as inf.
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from radspec import checks
@@ -28,6 +29,11 @@ def test_check_passes_iff_value_within_tol():
     assert not checks.Check("x", math.nan, 1.0, "").passed
     assert not checks.Check("x", math.inf, 1e300, "").passed
     assert not checks.Check("x", math.inf, math.inf, "").passed     # a breach, under any tol
+
+
+def test_residual_radii_are_linspace():
+    assert checks.RESIDUAL_RADII == tuple(float(r) for r in np.linspace(0.1, 10.0, 100))
+    assert all(type(r) is float for r in checks.RESIDUAL_RADII)
 
 
 def test_parabola_fails_below_its_value():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from radspec import frobenius
+from radspec.checks import RESIDUAL_RADII
 from radspec.frobenius import (
     IndexOutOfRange,
     RootRefinementFailure,
@@ -547,6 +549,18 @@ def test_residual_rejects_non_dyadic_root():
         ode_residual(replace(sol, mu=sol.mu + Fraction(1, 10)), 1.0)
 
 
+@pytest.mark.parametrize("n,i,l", [(1, 1, 0), (4, 3, 0), (6, 7, -2)])
+def test_residual_rejects_stale_nu_root(n, i, l):
+    """A record moved to another root without its nu_root mixes two couplings."""
+    sol = polynomial_solution(n, i, l)
+    with pytest.raises(ValueError, match="nu_root"):
+        ode_residual(replace(sol, mu=sol.mu + Fraction(1, 4)), 1.0)
+    with pytest.raises(ValueError, match="nu_root"):
+        ode_residual(replace(sol, nu_root=sol.nu_root + 0.5), 1.0, relative=True)
+    for k in (2, 40):
+        assert math.isfinite(ode_residual(_detuned(sol, k), 1.0, relative=True))
+
+
 def _fraction_residual(sol, r, relative=False):
     """Reference for ode_residual: its six terms in Fraction arithmetic.
 
@@ -580,14 +594,17 @@ def _fraction_residual(sol, r, relative=False):
     return resid * math.exp(-r * r / 2 - sol.nu_root * r / 2)
 
 
-ORACLE_RADII = (0.05, 0.1, 0.3, 1.0, 2.5, 6.0, 7.525, 10.0, 2.0 ** -30)
+ORACLE_RADII = (0.05, 0.1, 0.3, 1.0, 2.5, 6.0, 7.525, 10.0, 1e3, 2.0 ** -30)
 
 
 @pytest.mark.parametrize("n,i,l", [(12, 13, 0), (12, 1, 0), (11, 6, -1), (10, 11, 2),
                                    (0, 1, 0), (6, 3, 4), (22, 1, 0), (22, 23, 0),
-                                   (16, 17, -2), (15, 8, 1), (21, 22, 2)])
+                                   (16, 17, -2), (15, 8, 1), (21, 22, 2),
+                                   (0, 1, 3), (0, 1, -5), (12, 7, 0), (8, 5, 3),
+                                   (9, 1, 3), (9, 10, 3), (14, 1, -5), (14, 15, -5)])
 def test_residual_matches_fraction_oracle(n, i, l):
-    """Bit for bit, relative and absolute, on the solver record."""
+    """Bit for bit, relative and absolute, on the solver record: s up to 5, n = 0
+    (L[P] has two coefficients), the zero root of an even n, both signs of nu."""
     sol = polynomial_solution(n, i, l)
     for r in ORACLE_RADII:
         for relative in (False, True):
@@ -614,3 +631,17 @@ def test_residual_rejects_nonpositive_r():
 def test_residual_rejects_non_finite_r(r):
     with pytest.raises(ValueError, match="finite"):
         ode_residual(polynomial_solution(0, 1, 0), r)
+
+
+def test_residual_digests_of_criterion_7():
+    """The relative residuals criterion 7 takes and a panel of absolute ones, bit
+    for bit: every solution with l in {0, 1, 2} and n <= 10."""
+    sols = [polynomial_solution(n, i, l) for l in (0, 1, 2) for n in range(11)
+            for i in range(1, n + 2)]
+    rel = [ode_residual(sol, r, relative=True) for sol in sols for r in RESIDUAL_RADII]
+    absolute = [ode_residual(sol, r) for sol in sols for r in (0.05, 0.3, 1.0, 2.5)]
+    assert (len(rel), len(absolute)) == (19800, 792)
+    assert (hashlib.sha256(repr(rel).encode()).hexdigest()
+            == "cdd0d112984051de472c95ed465e826eefe36ca5db08401fd7007d0546165906")
+    assert (hashlib.sha256(repr(absolute).encode()).hexdigest()
+            == "b8412a8b2723c47fb3fed68c30ec2477b4b1d66077db7455744ce14379c636ef")
