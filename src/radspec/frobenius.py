@@ -29,8 +29,8 @@ truncation polynomial. As c_j has the parity of j, c_j = d_j nu^(j mod 2)
 with d_{j+2} = a_j m_j d_{j+1} + b_j d_j in mu = nu^2 (m_j = mu for even j,
 1 for odd j). That one recurrence, multiplied through by its denominators and
 run over integers, yields the reduced truncation polynomial d_{n+1}(mu) over one
-scale; run at an exact root mu, it yields the series coefficients there over
-one denominator in O(n) integer steps.
+scale; run at an exact root mu, it yields each series coefficient there over
+its own denominator in O(n) integer steps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,20 +82,34 @@ class IndexOutOfRange(IndexError):
 class TruncationSolution:
     """One isolated polynomial solution of the radial equation.
 
-    Index i is 1-based over roots in decreasing nu order. ``coeffs`` are
-    c_0..c_n with c_0 = 1; the recurrence-extended c_{n+1}, c_{n+2} vanish
-    at nu_root by construction. ``mu`` is the exact nu^2 at the refined
-    root, a dyadic rational; nu_root, W and coeffs are rounded from it, and
-    :func:`ode_residual` reads the exact values from it.
+    The record is (n, i, l, mu): i is 1-based over the n+1 roots in decreasing nu,
+    and ``mu`` is the exact nu^2 at the root, dyadic for every solver record. Set
+    once from it: ``nu_root`` = +sqrt(float(mu)) for i <= n//2 + 1 (+0.0 at the
+    middle root of an even n) and -sqrt(float(mu)) after; ``W`` = 2(n+s+1) - mu/4
+    and ``coeffs`` c_0..c_n = d_j(mu) (times nu_root for odd j), each rounded
+    once. So ``dataclasses.replace(sol, mu=x)`` re-derives them at x, and they
+    cannot be replaced themselves.
     """
 
     n: int
     i: int
     l: int
-    nu_root: float
-    W: float
-    coeffs: tuple[float, ...]
+    nu_root: float = field(init=False)
+    W: float = field(init=False)
+    coeffs: tuple[float, ...] = field(init=False)
     mu: Fraction = field(repr=False)
+
+    def __post_init__(self) -> None:
+        n, i, s, p, q = self.n, self.i, self.s, self.mu.numerator, self.mu.denominator
+        if n < 0 or p < 0:
+            raise ValueError(f"truncation order n={n} and root mu={self.mu} must be >= 0")
+        if not 1 <= i <= n + 1:
+            raise IndexOutOfRange(f"root index i={i} outside 1..{n + 1} for n={n}, l={self.l}")
+        nu, d = _signed_root(n, i, self.mu), _series_at_root(n, s, p, q)[2]
+        object.__setattr__(self, "nu_root", nu)
+        object.__setattr__(self, "W", (8 * (n + s + 1) * q - p) / (4 * q))
+        object.__setattr__(self, "coeffs", tuple([dj * nu if j % 2 else dj
+                                                  for j, dj in enumerate(d[: n + 1])]))
 
     @property
     def s(self) -> int:
@@ -164,14 +177,15 @@ def _jacobi_seeds(n: int, s: int, count: int) -> list[float]:
     return [float(lam) ** 2 for lam in eigenvalues[n + 1 - count:]]
 
 
-class _RootRecord(NamedTuple):
-    nu: float
-    mu: Fraction     # exact refined value of nu^2
+def _signed_root(n: int, i: int, mu: Fraction) -> float:
+    # nu at the i-th of the n+1 roots in decreasing order: + up to the middle one
+    return math.sqrt(float(mu)) if i <= n // 2 + 1 else -math.sqrt(float(mu))
 
 
 @lru_cache(maxsize=None)
-def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
-    """All n+1 roots in decreasing nu, each certified by an exact sign change.
+def _root_data(n: int, s: int) -> tuple[Fraction, ...]:
+    """The exact mu = nu^2 of all n+1 roots in decreasing nu, each certified by an
+    exact sign change.
 
     The positive roots mu = nu^2 of the reduced polynomial Q are bracketed on
     the dyadic grid around the Jacobi seeds: from 0 through the midpoints of
@@ -235,11 +249,7 @@ def _root_data(n: int, s: int) -> tuple[_RootRecord, ...]:
             step_old, step, x = step, nxt - x, nxt
         positives.append(Fraction(lo + hi, 1 << (K + 1)))
 
-    records = [_RootRecord(math.sqrt(float(mu)), mu) for mu in reversed(positives)]
-    if (n + 1) % 2:
-        records.append(_RootRecord(0.0, Fraction(0)))
-    records.extend(_RootRecord(-math.sqrt(float(mu)), mu) for mu in positives)
-    return tuple(records)
+    return (*reversed(positives), *[Fraction(0)] * ((n + 1) % 2), *positives)
 
 
 def root_isolation(n: int, l: int) -> tuple[float, ...]:
@@ -248,79 +258,68 @@ def root_isolation(n: int, l: int) -> tuple[float, ...]:
     Each is certified by an exact sign change over its own disjoint bracket.
     Raises RootRefinementFailure if any root fails to certify.
     """
-    return tuple(rec.nu for rec in _root_data(n, abs(l)))
+    return tuple(_signed_root(n, i, mu) for i, mu in enumerate(_root_data(n, abs(l)), 1))
 
 
 @lru_cache(maxsize=None)
 def _series_at_root(n: int, s: int, p: int,
-                    q: int) -> tuple[tuple[int, ...], int, tuple[float, ...]]:
-    """(D, E, d): d_j = D_j / E, j = 0..n+2, at the exact root mu = p/q, and each
-    d_j rounded to float once; c_j = d_j nu^(j mod 2).
-
-    The recurrence keeps d_j over E_j, where E_{j+2} = E_{j+1} D_j (times q for
-    even j). Each numerator is scaled to E = E_{n+2} by the suffix product of
-    the step ratios E_{k+1} / E_k, k >= j, so no big division runs.
-    """
+                    q: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+    """(N, ratios, d) at the exact root mu = p/q, j = 0..n+2: d_j = N_j / E_j with
+    E_0 = 1 and E_{j+1} = E_j ratios_j (ratios_{j+1} = D_j, times q for even j),
+    and each d_j rounded to float once from its own E_j; c_j = d_j nu^(j mod 2).
+    Only the exact residual puts the N_j over one denominator."""
     nums, ratios, ratio = [0, 1], [], 1          # d_{-1}, d_0 over E_j; E_{j+1} / E_j
+    d, E = [1.0], 1
     for A, B, D, even in _integer_steps(n, s):
         mp, mq = (p, q) if even else (1, 1)
         nums.append(A * mp * nums[-1] + B * mq * ratio * nums[-2])
         ratio = D * mq
         ratios.append(ratio)
-    scaled, E = [nums[-1]], 1                    # D_j from j = n+2 down; E / E_j
-    for num, ratio in zip(nums[-2:0:-1], reversed(ratios)):
         E *= ratio
-        scaled.append(num * E)
-    scaled.reverse()
-    return tuple(scaled), E, tuple(Dj / E for Dj in scaled)
+        d.append(nums[-1] / E)
+    return tuple(nums[1:]), tuple(ratios), tuple(d)
 
 
 def polynomial_solution(n: int, i: int, l: int) -> TruncationSolution:
     """Full solution record for the i-th root (1-based, decreasing nu).
 
-    Coefficients c_0..c_{n+2} come from one pass of the recurrence in
-    mu = nu^2 at the exact refined root, as integers over one denominator,
-    and are rounded to float last; the closure conditions c_{n+1} = c_{n+2} = 0
-    are verified to 1e-10 relative to max |c_j|, and c_n must not vanish.
+    The record derives its floats from the exact refined root. The closure
+    conditions c_{n+1} = c_{n+2} = 0 of the series there are verified to 1e-10
+    relative to max |c_j|, and c_n must not vanish.
     """
-    s = abs(l)
-    records = _root_data(n, s)
-    if not 1 <= i <= len(records):
-        raise IndexOutOfRange(
-            f"root index i={i} outside 1..{len(records)} for n={n}, l={l}")
-    rec = records[i - 1]
-    p, q = rec.mu.numerator, rec.mu.denominator
-    _, _, d = _series_at_root(n, s, p, q)
-    values = [dj * rec.nu if j % 2 else dj for j, dj in enumerate(d)]
-    scale = max(map(abs, values[: n + 1]))
-    if abs(values[n + 1]) > CLOSURE_TOL * scale or abs(values[n + 2]) > CLOSURE_TOL * scale:
+    mus = _root_data(n, abs(l))        # the record rejects an i outside 1..n+1
+    sol = TruncationSolution(n, i, l, mus[i - 1] if 0 < i <= n + 1 else Fraction(0))
+    d = _series_at_root(n, sol.s, sol.mu.numerator, sol.mu.denominator)[2]
+    c1, c2 = [d[j] * sol.nu_root if j % 2 else d[j] for j in (n + 1, n + 2)]
+    scale = max(map(abs, sol.coeffs))
+    if abs(c1) > CLOSURE_TOL * scale or abs(c2) > CLOSURE_TOL * scale:
         raise RootRefinementFailure(
-            f"closure failed at n={n}, i={i}, l={l}: "
-            f"c_{n+1}={values[n + 1]:.3e}, c_{n+2}={values[n + 2]:.3e}")
-    if values[n] == 0:
+            f"closure failed at n={n}, i={i}, l={l}: c_{n+1}={c1:.3e}, c_{n+2}={c2:.3e}")
+    if sol.coeffs[n] == 0:
         raise RootRefinementFailure(f"degenerate solution: c_n = 0 at n={n}, i={i}, l={l}")
-    W = (8 * (n + s + 1) * q - p) / (4 * q)        # 2(n+s+1) - mu/4, rounded once
-    return TruncationSolution(
-        n=n, i=i, l=l, nu_root=rec.nu, W=W, coeffs=tuple(values[: n + 1]), mu=rec.mu)
+    return sol
 
 
 @lru_cache(maxsize=None)
-def _residual_setup(n: int, s: int, p: int, q: int, nu_root: float
+def _residual_setup(n: int, s: int, p: int, q: int, negative: bool
                     ) -> tuple[int, int, int, int, int, tuple[int, ...], tuple[int, ...]]:
-    """(h, Wn, w, T, den, N, rho) at mu = p/q: nu = h / 2^160, W = Wn / 2^w, c_j =
-    N_j / den, and rho_k / (den 2^T) is the r^k coefficient of L[P]; N and rho
-    descend, as Horner reads them. ValueError unless mu is dyadic and
-    |nu_root| == sqrt(float(mu)), so a record cannot mix two couplings."""
+    """(h, Wn, w, T, den, N, rho) at mu = p/q and the sign of nu: nu = h / 2^160,
+    W = Wn / 2^w, c_j = N_j / den, and rho_k / (den 2^T) is the r^k coefficient
+    of L[P]; N and rho descend, as Horner reads them. ValueError unless mu is
+    dyadic."""
     if q & (q - 1):
         raise ValueError(f"mu={p}/{q} must be a dyadic rational")
-    if abs(nu_root) != math.sqrt(p / q):
-        raise ValueError(f"nu_root={nu_root!r} is not +/-sqrt(mu) for mu={p}/{q}")
-    h = math.isqrt((p << 320) // q) * (1 if nu_root >= 0 else -1)
+    h = math.isqrt((p << 320) // q) * (-1 if negative else 1)
     w = q.bit_length() + 1                       # 4q = 2^w
-    D, E, _ = _series_at_root(n, s, p, q)
-    # c_j = D_j / E, or D_j h / (E 2^160) for odd j, less the power of two that
+    nums, ratios, _ = _series_at_root(n, s, p, q)
+    D, up = [nums[n]], 1                         # D_j = nums_j E_n / E_j = d_j E_n, by
+    for num, ratio in zip(reversed(nums[:n]), reversed(ratios[:n])):
+        up *= ratio                              # suffix products: no big division
+        D.append(num * up)
+    D.reverse()
+    # c_j = D_j / E_n, or D_j h / (E_n 2^160) for odd j, less the power of two that
     # every numerator shares; c_0 = 1, so N_0 is the denominator
-    N = [Dj * h if j % 2 else Dj << 160 for j, Dj in enumerate(D[: n + 1])]
+    N = [Dj * h if j % 2 else Dj << 160 for j, Dj in enumerate(D)]
     z = min((Nj & -Nj).bit_length() for Nj in N if Nj) - 1
     N = [Nj >> z for Nj in N]
     # L[r^j] = j(j+2s) r^(j-1) - nu(j+s+1/2) r^j + (E' - 2j) r^(j+1), with
@@ -350,14 +349,14 @@ def ode_residual(sol: TruncationSolution, r: float, relative: bool = False) -> f
     r is dyadic, and so must be the record's root ``mu``: W and the c_j are
     exact at mu, and nu = +/-isqrt(mu 2^320) / 2^160 is signed as nu_root
     (the float coefficients alone would cost ~1e-4 of relative residual at the
-    most negative high-order roots). ValueError unless mu is dyadic and
-    |nu_root| == sqrt(float(mu)).
+    most negative high-order roots). The setup is cached on (n, s, mu) and the
+    sign. ValueError unless mu is dyadic.
     """
     if not 0 < r < math.inf:
         raise ValueError(f"r={r} must be finite and > 0")
     s, n = sol.s, sol.n
     h, Wn, w, T, den, N, rho = _residual_setup(n, s, sol.mu.numerator, sol.mu.denominator,
-                                               sol.nu_root)
+                                               sol.nu_root < 0)
     X, x_den = r.as_integer_ratio()
     e = x_den.bit_length() - 1                      # r = X / 2^e
     R = 0                                           # den 2^(T + e(n+1)) L[P](r)

@@ -150,14 +150,17 @@ def test_cnp1_degree_parity_leading_sign(l):
 @pytest.mark.parametrize("s", [0, 1, 2, 5, 10])
 def test_mu_recurrence_matches_public_recurrence(s):
     """c_{n+1}(nu) and every c_j = d_j(nu^2) nu^(j mod 2) equal _series_coeffs exactly,
-    up to n = 40 and s = 10, where the integers of the series at a root are largest."""
+    up to n = 40 and s = 10, where the integers of the series at a root are largest;
+    each float d_j is the exact one rounded once."""
     for nu in (Fraction(1, 3), Fraction(7, 2), Fraction(-5, 4)):
         for n in range(0, 41):
             c = _series_coeffs(n + 2, s, nu, truncation_energy(n, s, nu))
             assert _horner(cnp1_polynomial(n, s), nu) == c[n + 1]
             mu = nu * nu
-            D, E, _ = frobenius._series_at_root(n, s, mu.numerator, mu.denominator)
-            assert [Fraction(Dj, E) * nu ** (j % 2) for j, Dj in enumerate(D)] == c
+            N, ratios, d = frobenius._series_at_root(n, s, mu.numerator, mu.denominator)
+            exact = [Fraction(Nj, math.prod(ratios[:j])) for j, Nj in enumerate(N)]
+            assert [dj * nu ** (j % 2) for j, dj in enumerate(exact)] == c
+            assert d == tuple(map(float, exact))
 
 
 def _mu_series(n, s, mu):
@@ -259,11 +262,10 @@ def test_roots_within_relative_tolerance():
     for s in (0, 1, 2):
         for n in range(0, 41):
             q = cnp1_polynomial(n, s)[(n + 1) % 2::2]     # in mu
-            for rec in frobenius._root_data(n, s):
-                if rec.nu > 0:
-                    lo, hi = rec.mu * (1 - half), rec.mu * (1 + half)
-                    if _horner(q, lo) * _horner(q, hi) >= 0:
-                        misses.append((n, s, rec.nu))
+            for mu in frobenius._root_data(n, s)[: (n + 1) // 2]:    # the positive roots
+                lo, hi = mu * (1 - half), mu * (1 + half)
+                if _horner(q, lo) * _horner(q, hi) >= 0:
+                    misses.append((n, s, mu))
     assert misses == []
 
 
@@ -320,11 +322,7 @@ def _bisection_root_data(n, s):
             else:
                 hi = mid
         positives.append(Fraction(lo + hi, 1 << (K + 1)))
-    records = [frobenius._RootRecord(math.sqrt(float(mu)), mu) for mu in reversed(positives)]
-    if (n + 1) % 2:
-        records.append(frobenius._RootRecord(0.0, Fraction(0)))
-    records.extend(frobenius._RootRecord(-math.sqrt(float(mu)), mu) for mu in positives)
-    return tuple(records)
+    return (*reversed(positives), *[Fraction(0)] * ((n + 1) % 2), *positives)
 
 
 def _outcome(root_data, n, s):
@@ -516,8 +514,7 @@ def test_residual_precision_at_extreme_roots(n, i, l):
 def _detuned(sol, k):
     """sol moved to the dyadic root mu + 2^-k, where c_{n+1} no longer vanishes;
     nu_root becomes +/-sqrt(mu + 2^-k) with sol's sign."""
-    mu = sol.mu + Fraction(1, 2 ** k)
-    return replace(sol, mu=mu, nu_root=math.copysign(math.sqrt(mu), sol.nu_root))
+    return replace(sol, mu=sol.mu + Fraction(1, 2 ** k))
 
 
 def test_residual_detects_detuned_coupling():
@@ -549,30 +546,58 @@ def test_residual_rejects_non_dyadic_root():
         ode_residual(replace(sol, mu=sol.mu + Fraction(1, 10)), 1.0)
 
 
-@pytest.mark.parametrize("n,i,l", [(1, 1, 0), (4, 3, 0), (6, 7, -2)])
-def test_residual_rejects_stale_nu_root(n, i, l):
-    """A record moved to another root without its nu_root mixes two couplings."""
+@pytest.mark.parametrize("n,i,l", [(1, 1, 0), (4, 3, 0), (4, 4, 0), (6, 7, -2)])
+def test_replaced_root_rederives_the_floats(n, i, l):
+    """A record moved to another root carries that root's floats, with its own sign
+    of nu (+ at the middle root of an even n); a derived float cannot be replaced."""
     sol = polynomial_solution(n, i, l)
-    with pytest.raises(ValueError, match="nu_root"):
-        ode_residual(replace(sol, mu=sol.mu + Fraction(1, 4)), 1.0)
-    with pytest.raises(ValueError, match="nu_root"):
-        ode_residual(replace(sol, nu_root=sol.nu_root + 0.5), 1.0, relative=True)
-    for k in (2, 40):
-        assert math.isfinite(ode_residual(_detuned(sol, k), 1.0, relative=True))
+    for mu in (sol.mu + Fraction(1, 4), sol.mu + Fraction(1, 2 ** 40), Fraction(3, 2)):
+        moved = replace(sol, mu=mu)
+        nu = math.copysign(math.sqrt(mu), sol.nu_root)
+        d = _mu_series(n, sol.s, mu)[: n + 1]
+        assert (moved.n, moved.i, moved.l, moved.mu) == (n, i, l, mu)
+        assert moved.nu_root == nu and nu != 0
+        assert moved.W == float(Fraction(2 * (n + sol.s + 1)) - mu / 4)
+        assert moved.coeffs == tuple(float(dj) * nu if j % 2 else float(dj)
+                                     for j, dj in enumerate(d))
+        assert math.isfinite(ode_residual(moved, 1.0, relative=True))
+    for name in ("nu_root", "W", "coeffs"):
+        with pytest.raises(ValueError, match=name):
+            replace(sol, **{name: getattr(sol, name)})
+
+
+@pytest.mark.parametrize("n,i,mu,error", [
+    (2, 0, Fraction(0), IndexOutOfRange), (2, 4, Fraction(0), IndexOutOfRange),
+    (0, -1, Fraction(0), IndexOutOfRange), (-1, 1, Fraction(0), ValueError),
+    (1, 1, Fraction(-1, 4), ValueError)], ids=["i=0", "i=n+2", "i<0", "n<0", "mu<0"])
+def test_record_rejects_bad_input(n, i, mu, error):
+    """An unchecked i would pick a sign of nu silently."""
+    with pytest.raises(error, match="outside 1..3" if i == 4 else None):
+        frobenius.TruncationSolution(n, i, 0, mu)
+
+
+def test_record_digest_up_to_order_40():
+    """Every record with l in {0, 1, 2, 5, 10} and n <= 40, its exact root included,
+    bit for bit: 4,305 records."""
+    sols = [polynomial_solution(n, i, l) for l in (0, 1, 2, 5, 10) for n in range(41)
+            for i in range(1, n + 2)]
+    assert len(sols) == 4305
+    assert (hashlib.sha256(repr([(sol, sol.mu) for sol in sols]).encode()).hexdigest()
+            == "aa652649203ff262ac9232b1641763a4aa081e18893d76d4b5741c0b9f17ba60")
 
 
 def _fraction_residual(sol, r, relative=False):
     """Reference for ode_residual: its six terms in Fraction arithmetic.
 
-    The exact inputs are rebuilt from the record's root mu, with nu to 2^-160.
-    The sum and each term are rounded once, by float(Fraction).
+    The exact inputs are rebuilt from the record's root mu, with nu to 2^-160, and
+    the d_j from the reference recurrence, not the library's series. The sum and
+    each term are rounded once, by float(Fraction).
     """
     s, n, mu = sol.s, sol.n, sol.mu
     root = Fraction(math.isqrt(mu.numerator * 2 ** 320 // mu.denominator), 2 ** 160)
     nu = root if sol.nu_root >= 0 else -root
     W = 2 * (n + s + 1) - mu / 4
-    D, E, _ = frobenius._series_at_root(n, s, mu.numerator, mu.denominator)
-    d = [Fraction(Dj, E) for Dj in D[: n + 1]]
+    d = _mu_series(n, s, mu)[: n + 1]
     coeffs = [dj * nu if j % 2 else dj for j, dj in enumerate(d)]
     x = Fraction(r)
     P = Pp = Ppp = Fraction(0)
